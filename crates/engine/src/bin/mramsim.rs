@@ -17,8 +17,8 @@
 
 use mramsim_engine::store::DiskStore;
 use mramsim_engine::{
-    parse_value, Engine, EngineError, JobEvent, ParamSet, ParamValue, Registry, ServeConfig,
-    Server, SweepJournal, SweepOptions, SweepPlan,
+    parse_value, Engine, EngineError, JobEvent, ParamSet, ParamValue, Registry, Run, ServeConfig,
+    Server, SweepOptions, SweepPlan, Tier,
 };
 use mramsim_telemetry as telemetry;
 use mramsim_telemetry::{report, Clock, Fanout, JsonlRecorder, MetricsRecorder, TelemetryLog};
@@ -326,8 +326,8 @@ fn default_cache_dir() -> Option<PathBuf> {
 
 /// The disk-cache directory to use: the `--cache-dir` value, `None`
 /// for `off`, or the default location.
-fn resolve_cache_dir(options: &Options) -> Option<PathBuf> {
-    match options.cache_dir.as_deref() {
+fn resolve_cache_dir(flag: Option<&str>) -> Option<PathBuf> {
+    match flag {
         Some("off") => None,
         Some(dir) => Some(PathBuf::from(dir)),
         None => default_cache_dir(),
@@ -345,19 +345,21 @@ fn base_engine(options: &Options) -> Engine {
     engine
 }
 
-fn build_engine(options: &Options, cache_dir: Option<&Path>) -> Result<Engine, String> {
-    let Some(dir) = cache_dir else {
-        return Ok(base_engine(options));
+/// The engine `options` ask for, with the cache directory it uses
+/// (`None` when the disk tier is off).
+fn build_engine(options: &Options) -> Result<(Engine, Option<PathBuf>), String> {
+    let Some(dir) = resolve_cache_dir(options.cache_dir.as_deref()) else {
+        return Ok((base_engine(options), None));
     };
-    match base_engine(options).with_disk_cache(dir) {
-        Ok(engine) => Ok(engine),
+    match base_engine(options).with_disk_cache(&dir) {
+        Ok(engine) => Ok((engine, Some(dir))),
         // An unusable *default* directory (read-only $HOME, sandbox)
         // degrades to memory-only with a warning — persistence is an
         // optimisation there. An explicitly requested directory that
         // cannot be used is an error the user needs to hear about.
         Err(e) if options.cache_dir.is_none() => {
             eprintln!("warning: persistent cache disabled: {e}");
-            Ok(base_engine(options))
+            Ok((base_engine(options), Some(dir)))
         }
         Err(e) => Err(e.to_string()),
     }
@@ -391,8 +393,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         .scenario
         .clone()
         .ok_or("`run` needs a scenario id")?;
-    let cache_dir = resolve_cache_dir(&options);
-    let engine = build_engine(&options, cache_dir.as_deref())?;
+    let (engine, _) = build_engine(&options)?;
     let mut overrides = ParamSet::new();
     for (name, value) in options.params {
         overrides.insert(&name, value);
@@ -411,12 +412,10 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     eprintln!(
         "ran `{scenario}` in {:.1?}{}",
         outcome.duration,
-        if outcome.disk_hit {
-            " (disk-cache hit)"
-        } else if outcome.cache_hit {
-            " (cache hit)"
-        } else {
-            ""
+        match outcome.tier {
+            Tier::Disk => " (disk-cache hit)",
+            Tier::Warm => " (cache hit)",
+            _ => "",
         }
     );
     Ok(())
@@ -453,7 +452,7 @@ impl Progress {
 
     fn on_job(&self, event: &JobEvent<'_>) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        if event.cache_hit {
+        if event.tier.is_cache_hit() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         self.busy_ns
@@ -502,12 +501,8 @@ fn resolve_run_log(run: &str, cache_dir: Option<&str>) -> Result<PathBuf, String
     if direct.is_file() {
         return Ok(direct);
     }
-    let dir = match cache_dir {
-        Some("off") => None,
-        Some(dir) => Some(PathBuf::from(dir)),
-        None => default_cache_dir(),
-    }
-    .ok_or("resolving a run id needs a cache directory (do not pass `--cache-dir off`)")?;
+    let dir = resolve_cache_dir(cache_dir)
+        .ok_or("resolving a run id needs a cache directory (do not pass `--cache-dir off`)")?;
     let path = JsonlRecorder::path_for(&dir, run);
     if path.is_file() {
         return Ok(path);
@@ -707,64 +702,11 @@ fn plan_with_params(mut plan: SweepPlan, params: Vec<(String, ParamValue)>) -> S
     plan
 }
 
-/// Validates a fresh plan against the scenario's declared parameters
-/// and opens its checkpoint journal. Shared by `sweep` and `campaign`.
-fn prepare_fresh_run(
-    options: &Options,
-    engine: &Engine,
-    cache_dir: Option<&Path>,
-    scenario: &str,
-    plan: &SweepPlan,
-) -> Result<Option<SweepJournal>, String> {
-    // `--limit` exists to slice a resumable campaign; without a
-    // store the computed slice would die with the process and the
-    // "resume to continue" advice would be unfollowable.
-    if options.limit.is_some() && engine.store().is_none() {
-        return Err(
-            "`--limit` slices a resumable campaign, which needs a usable disk cache \
-             (do not pass `--cache-dir off`)"
-                .into(),
-        );
-    }
-    // Validate the plan before touching the journal, so a typo'd
-    // scenario or parameter does not leave resumable-looking
-    // debris under runs/.
-    let specs = engine
-        .registry()
-        .get(scenario)
-        .map_err(|e| e.to_string())?
-        .params();
-    for name in plan
-        .axes()
-        .iter()
-        .map(|(name, _)| name.as_str())
-        .chain(plan.fixed().iter().map(|(name, _)| name))
-    {
-        if !specs.iter().any(|s| s.name == name) {
-            return Err(format!("scenario `{scenario}` has no parameter `{name}`"));
-        }
-    }
-    // With the disk cache on, every sweep is checkpointed: the
-    // journal captures the plan and streams finished points. No
-    // store (disabled, or default dir unusable) ⇒ no journal —
-    // there would be nothing on disk to resume from anyway.
-    match (cache_dir, engine.store().is_some()) {
-        (Some(dir), true) => {
-            let path = SweepJournal::path_for(dir, &SweepJournal::run_id(plan));
-            Ok(Some(
-                SweepJournal::create(path, plan).map_err(|e| e.to_string())?,
-            ))
-        }
-        _ => Ok(None),
-    }
-}
-
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let options = parse_options(args)?;
-    let cache_dir = resolve_cache_dir(&options);
-    let engine = build_engine(&options, cache_dir.as_deref())?;
+    let (engine, cache_dir) = build_engine(&options)?;
 
-    let (plan, journal) = if let Some(run_id) = &options.resume {
+    let run = if let Some(run_id) = &options.resume {
         if options.scenario.is_some() || !options.params.is_empty() {
             return Err(
                 "`--resume` reloads the journaled plan; do not pass a scenario or parameters"
@@ -774,20 +716,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         // `store()` is None for `--cache-dir off` *and* when the
         // default directory was unusable — resuming cannot work
         // without the persisted results either way.
-        if engine.store().is_none() {
+        let (Some(dir), Some(_)) = (&cache_dir, engine.store()) else {
             return Err(
                 "`--resume` needs a usable disk cache (do not pass `--cache-dir off`)".into(),
             );
-        }
-        let dir = cache_dir.as_ref().expect("store implies a cache dir");
-        let (journal, state) =
-            SweepJournal::resume(SweepJournal::path_for(dir, run_id)).map_err(|e| e.to_string())?;
+        };
+        let run = Run::resume(&engine, dir, run_id).map_err(|e| e.to_string())?;
         eprintln!(
             "resuming `{run_id}`: {}/{} point(s) already journaled",
-            state.done.len(),
-            state.plan.len(),
+            run.journaled(),
+            run.plan().len(),
         );
-        (state.plan, Some(journal))
+        run
     } else {
         let scenario = options
             .scenario
@@ -799,10 +739,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                         (e.g. `--pitch 60..240:20`)"
                 .into());
         }
-        let journal = prepare_fresh_run(&options, &engine, cache_dir.as_deref(), &scenario, &plan)?;
-        (plan, journal)
+        let plan = engine.validate(&plan).map_err(|e| e.to_string())?;
+        Run::open(&engine, plan, cache_dir.as_deref()).map_err(|e| e.to_string())?
     };
-    execute_sweep(&options, &engine, cache_dir.as_deref(), plan, journal)
+    execute_sweep(&options, &engine, cache_dir.as_deref(), run)
 }
 
 /// `mramsim campaign`: a sweep whose `--shard` axis is generated to
@@ -824,8 +764,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         .scenario
         .clone()
         .unwrap_or_else(|| "array-wer-shard".to_owned());
-    let cache_dir = resolve_cache_dir(&options);
-    let engine = build_engine(&options, cache_dir.as_deref())?;
+    let (engine, cache_dir) = build_engine(&options)?;
     let specs = engine
         .registry()
         .get(&scenario)
@@ -862,23 +801,34 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         "shard",
         (0..n_shards).map(|shard| shard as f64).collect::<Vec<_>>(),
     );
-    let journal = prepare_fresh_run(&options, &engine, cache_dir.as_deref(), &scenario, &plan)?;
+    let plan = engine.validate(&plan).map_err(|e| e.to_string())?;
+    let run = Run::open(&engine, plan, cache_dir.as_deref()).map_err(|e| e.to_string())?;
     eprintln!(
         "campaign `{scenario}`: {n_shards} shard(s) of {shard_rows} row(s) covering {rows} grid rows"
     );
-    execute_sweep(&options, &engine, cache_dir.as_deref(), plan, journal)
+    execute_sweep(&options, &engine, cache_dir.as_deref(), run)
 }
 
-/// Runs a prepared plan: telemetry install, progress line, the sweep
+/// Executes an opened run: telemetry install, progress line, the sweep
 /// itself, output rendering, and the summary/journal/telemetry trailer.
 fn execute_sweep(
     options: &Options,
     engine: &Engine,
     cache_dir: Option<&Path>,
-    plan: SweepPlan,
-    journal: Option<SweepJournal>,
+    run: Run<'_>,
 ) -> Result<(), String> {
-    let run_id = SweepJournal::run_id(&plan);
+    // `--limit` exists to slice a resumable campaign; without a store
+    // the computed slice would die with the process and the "resume to
+    // continue" advice would be unfollowable.
+    if options.limit.is_some() && engine.store().is_none() {
+        return Err(
+            "`--limit` slices a resumable campaign, which needs a usable disk cache \
+             (do not pass `--cache-dir off`)"
+                .into(),
+        );
+    }
+    let run_id = run.run_id().to_owned();
+    let journal = run.journal_path().map(Path::to_path_buf);
     // Telemetry: metrics aggregate in-process; events stream to the
     // run's JSONL log when a cache directory exists to hold it. All of
     // it is write-only with respect to results.
@@ -904,26 +854,17 @@ fn execute_sweep(
         "off" => false,
         _ => std::io::stderr().is_terminal(),
     };
-    let progress = Progress::new(plan.len(), engine.workers());
-
-    let record = |event: &JobEvent<'_>| {
-        if event.ok {
-            if let Some(journal) = &journal {
-                journal.record(event.index, event.key);
-            }
-        }
+    let progress = Progress::new(run.plan().len(), engine.workers());
+    let on_job = |event: &JobEvent<'_>| {
         if show_progress {
             progress.on_job(event);
         }
     };
-    let sweep_options = SweepOptions {
+    let outcome = run.execute(&SweepOptions {
         limit: options.limit,
-        on_done: Some(&record),
+        on_done: Some(&on_job),
         cancel: None,
-    };
-    let outcome = engine
-        .sweep_with(&plan, &sweep_options)
-        .map_err(|e| e.to_string())?;
+    });
     if show_progress {
         progress.clear();
     }
@@ -997,7 +938,7 @@ fn execute_sweep(
     if let Some(journal) = &journal {
         eprintln!(
             "run `{run_id}` journaled at {} — continue with `mramsim sweep --resume {run_id}`",
-            journal.path().display()
+            journal.display()
         );
     }
     if let Some(sink) = &jsonl {
@@ -1042,8 +983,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "`serve` takes no scenario or parameters; clients submit plans over HTTP".to_owned(),
         );
     }
-    let cache_dir = resolve_cache_dir(&options);
-    let engine = Arc::new(build_engine(&options, cache_dir.as_deref())?);
+    let (engine, cache_dir) = build_engine(&options)?;
+    let engine = Arc::new(engine);
     let config = ServeConfig {
         addr,
         max_inflight,
@@ -1071,17 +1012,9 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     }
     // Reports also read and feed the persistent cache (falling back
     // to memory-only, with a warning, when the default directory is
-    // unusable — the same degradation run/sweep announce).
-    let engine = match default_cache_dir() {
-        Some(dir) => match Engine::standard().with_disk_cache(dir) {
-            Ok(engine) => engine,
-            Err(e) => {
-                eprintln!("warning: persistent cache disabled: {e}");
-                Engine::standard()
-            }
-        },
-        None => Engine::standard(),
-    };
+    // unusable — the same degradation run/sweep announce). An empty
+    // argument list parses to the default options.
+    let (engine, _) = build_engine(&parse_options(&[])?)?;
     let ids: Vec<&str> = args.iter().map(String::as_str).collect();
     for id in &ids {
         engine.registry().get(id).map_err(|e| e.to_string())?;

@@ -127,12 +127,6 @@ impl ResultCache {
         cache
     }
 
-    /// The capacity bound (`None` = unbounded).
-    #[must_use]
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
     /// The content address of one `(scenario, fingerprint)` point.
     #[must_use]
     pub fn key(scenario_id: &str, fingerprint: &str) -> u64 {
@@ -177,12 +171,6 @@ impl ResultCache {
             }
         }
         found
-    }
-
-    /// Whether `key` is present, without touching counters or recency.
-    #[must_use]
-    pub fn contains(&self, key: u64) -> bool {
-        self.lock().map.contains_key(&key)
     }
 
     /// Stores a result, evicting the least-recently-used entries if the
@@ -315,15 +303,5 @@ mod tests {
         cache.insert(1, Arc::new(ScenarioOutput::default()));
         assert!(cache.get(1).is_none());
         assert_eq!(cache.stats().entries, 0);
-    }
-
-    #[test]
-    fn contains_does_not_disturb_counters() {
-        let cache = ResultCache::new();
-        cache.insert(1, Arc::new(ScenarioOutput::default()));
-        assert!(cache.contains(1));
-        assert!(!cache.contains(2));
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 }

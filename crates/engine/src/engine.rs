@@ -2,13 +2,14 @@
 //! with an optional persistent disk tier and checkpointed (resumable)
 //! sweep execution.
 
-use crate::cache::{CacheStats, ResultCache};
+use crate::cache::{fnv1a, CacheStats, ResultCache};
 use crate::store::{DiskStats, DiskStore};
-use crate::{EngineError, ParamSet, Registry, ScenarioOutput, SweepPlan};
+use crate::{EngineError, ParamSet, Registry, Scenario, ScenarioOutput, SweepPlan, ValidPlan};
 use mramsim_core::report::Table;
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_telemetry as telemetry;
-use mramsim_telemetry::{Clock, Value};
+use mramsim_telemetry::{Clock, TreeSpan, Value};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -19,6 +20,9 @@ use std::time::Duration;
 /// that an unbounded campaign cannot grow the map without limit (the
 /// disk tier, when enabled, still serves evicted points).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
+
+/// The base seed folded into derived per-job seeds.
+const BASE_SEED: u64 = 2020;
 
 thread_local! {
     /// Inner-parallelism budget the sweep executor hands to scenarios
@@ -38,16 +42,51 @@ pub fn scenario_workers() -> usize {
         .unwrap_or_else(|| WorkerPool::with_default_parallelism().workers())
 }
 
+/// Where a job ended in the engine's lookup order: memory → disk →
+/// compute, or not at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// Served from the in-memory result cache.
+    Warm,
+    /// Served from the on-disk store (and promoted into memory).
+    Disk,
+    /// Computed now, then stored back into both tiers.
+    Computed,
+    /// Not attempted: the sweep's job budget ran out or the sweep was
+    /// cancelled. Resuming the run computes it.
+    Skipped,
+    /// The scenario returned an error or panicked.
+    Failed,
+}
+
+impl Tier {
+    /// The tier's `source` string in `job.done` telemetry events.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Self::Warm => "warm",
+            Self::Disk => "disk",
+            Self::Computed => "computed",
+            Self::Skipped => "skipped",
+            Self::Failed => "error",
+        }
+    }
+
+    /// Whether a cache tier (memory or disk) served the result.
+    #[must_use]
+    pub fn is_cache_hit(self) -> bool {
+        matches!(self, Self::Warm | Self::Disk)
+    }
+}
+
 /// The outcome of one cache-aware [`Engine::run`].
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The scenario output (shared with the cache).
     pub output: Arc<ScenarioOutput>,
-    /// Whether the result came from a cache tier (memory or disk).
-    pub cache_hit: bool,
-    /// Whether the serving tier was the on-disk store (implies
-    /// `cache_hit`; the entry was promoted into memory on the way).
-    pub disk_hit: bool,
+    /// The tier that served it: [`Tier::Warm`], [`Tier::Disk`], or
+    /// [`Tier::Computed`] (failures are the call's `Err`).
+    pub tier: Tier,
     /// Wall-clock time of this call (≈0 for hits).
     pub duration: Duration,
 }
@@ -61,14 +100,11 @@ pub struct SweepJob {
     pub params: ParamSet,
     /// The result, or the rendered error.
     pub result: Result<Arc<ScenarioOutput>, String>,
-    /// Whether this job was served from a cache tier.
+    /// Whether this job was served from a cache tier
+    /// ([`Tier::is_cache_hit`]).
     pub cache_hit: bool,
-    /// Whether this job was served from the on-disk store.
-    pub disk_hit: bool,
-    /// Whether this job was not attempted because the sweep's job
-    /// budget ([`SweepOptions::limit`]) was exhausted; its `result`
-    /// carries a descriptive error and resuming will run it.
-    pub skipped: bool,
+    /// Where the job ended.
+    pub tier: Tier,
 }
 
 /// The outcome of one [`Engine::sweep`].
@@ -104,12 +140,8 @@ pub struct JobEvent<'a> {
     pub params: &'a ParamSet,
     /// Whether the job succeeded (skipped jobs are not successes).
     pub ok: bool,
-    /// Whether a cache tier served it.
-    pub cache_hit: bool,
-    /// Whether the disk tier served it.
-    pub disk_hit: bool,
-    /// Whether the job-budget skip path took it.
-    pub skipped: bool,
+    /// Where the job ended.
+    pub tier: Tier,
     /// Wall-clock time of this job, measured on the engine's
     /// [`Clock`] (≈0 for cache hits and skips).
     pub duration: Duration,
@@ -120,15 +152,15 @@ pub struct JobEvent<'a> {
 pub struct SweepOptions<'a> {
     /// Run at most this many jobs that would actually *compute*
     /// (cache-served jobs are free and never count). Jobs beyond the
-    /// budget are marked [`SweepJob::skipped`]; a later run — or
-    /// `--resume` — picks them up. `None` = unlimited.
+    /// budget end as [`Tier::Skipped`]; a later run — or `--resume` —
+    /// picks them up. `None` = unlimited.
     pub limit: Option<usize>,
     /// Called for every finished job, from the worker threads, as soon
     /// as the job completes (not in expansion order).
     pub on_done: Option<&'a (dyn Fn(&JobEvent<'_>) + Sync)>,
     /// Cooperative cancellation: when the flag flips to `true`, jobs
-    /// that have not started yet are marked [`SweepJob::skipped`] —
-    /// exactly like budget exhaustion, so a journaled run stays
+    /// that have not started yet end as [`Tier::Skipped`] — exactly
+    /// like budget exhaustion, so a journaled run stays
     /// `--resume`-able. In-flight jobs run to completion (and are
     /// journaled); the sweep still returns a full, well-formed
     /// [`SweepOutcome`]. This is how a draining server stops a sweep
@@ -199,7 +231,7 @@ impl SweepOutcome {
             if with_status {
                 row.push(match &job.result {
                     Ok(_) => "ok".to_owned(),
-                    Err(_) if job.skipped => "skipped".to_owned(),
+                    Err(_) if job.tier == Tier::Skipped => "skipped".to_owned(),
                     Err(e) => format!("error: {e}"),
                 });
             }
@@ -207,6 +239,43 @@ impl SweepOutcome {
         }
         table
     }
+}
+
+/// The compute step of an [`Engine::walk`]: the point to run on a
+/// miss, under the sweep's job budget (slots claimed so far, limit).
+struct Compute<'a> {
+    id: &'a str,
+    params: &'a ParamSet,
+    budget: Option<(&'a AtomicUsize, usize)>,
+}
+
+/// Where one [`Engine::walk`] ended: `served` is `Ok(None)` when the
+/// caches missed and nothing was computed, and `job_span` is a sweep
+/// job's span, kept open over its completion events.
+struct Walk {
+    served: Result<Option<(Tier, Arc<ScenarioOutput>)>, EngineError>,
+    duration: Duration,
+    job_span: Option<TreeSpan>,
+}
+
+/// Runs one scenario point with any panic contained: the panic becomes
+/// this point's [`EngineError::Scenario`], so one bad point can take
+/// down neither its sweep nor the server thread running it.
+fn run_contained(
+    scenario: &dyn Scenario,
+    params: &ParamSet,
+) -> Result<ScenarioOutput, EngineError> {
+    catch_unwind(AssertUnwindSafe(|| scenario.run(params))).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err(EngineError::Scenario {
+            scenario: scenario.id().to_owned(),
+            message: format!("panicked: {message}"),
+        })
+    })
 }
 
 /// The unified scenario-execution engine.
@@ -218,12 +287,12 @@ impl SweepOutcome {
 /// # Examples
 ///
 /// ```
-/// use mramsim_engine::{Engine, ParamSet};
+/// use mramsim_engine::{Engine, ParamSet, Tier};
 ///
 /// let engine = Engine::standard();
 /// let first = engine.run("fig4a", &ParamSet::new())?;
 /// let again = engine.run("fig4a", &ParamSet::new())?;
-/// assert!(!first.cache_hit && again.cache_hit);
+/// assert_eq!((first.tier, again.tier), (Tier::Computed, Tier::Warm));
 /// # Ok::<(), mramsim_engine::EngineError>(())
 /// ```
 #[derive(Debug)]
@@ -232,7 +301,6 @@ pub struct Engine {
     cache: ResultCache,
     store: Option<DiskStore>,
     pool: WorkerPool,
-    base_seed: u64,
     clock: Clock,
 }
 
@@ -252,7 +320,6 @@ impl Engine {
             cache: ResultCache::with_capacity(DEFAULT_CACHE_CAPACITY),
             store: None,
             pool: WorkerPool::with_default_parallelism(),
-            base_seed: 2020,
             clock: Clock::system(),
         }
     }
@@ -310,13 +377,6 @@ impl Engine {
         self.store.as_ref().map(DiskStore::stats)
     }
 
-    /// Overrides the base seed folded into derived per-job seeds.
-    #[must_use]
-    pub fn with_base_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
-        self
-    }
-
     /// The registry.
     #[must_use]
     pub fn registry(&self) -> &Registry {
@@ -361,104 +421,79 @@ impl Engine {
         Ok(resolved)
     }
 
+    /// The one plan check, behind [`Engine::sweep_with`], every
+    /// [`Run`](crate::Run), and served submissions: the scenario
+    /// exists, every fixed and axis name is declared, and the plan
+    /// expands — into resolved, seeded grid points, ready to execute.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::UnknownScenario`], [`EngineError::UnknownParameter`],
+    /// or [`EngineError::InvalidParameter`] for an empty axis or a name
+    /// that appears twice.
+    pub fn validate(&self, plan: &SweepPlan) -> Result<ValidPlan, EngineError> {
+        let id = plan.scenario();
+        let specs = self.registry.get(id)?.params();
+        let axis_names = plan.axes().iter().map(|(name, _)| name.as_str());
+        for name in axis_names.chain(plan.fixed().iter().map(|(name, _)| name)) {
+            if !specs.iter().any(|s| s.name == name) {
+                return Err(EngineError::UnknownParameter {
+                    scenario: id.to_owned(),
+                    name: name.to_owned(),
+                });
+            }
+        }
+        let has_seed = specs.iter().any(|s| s.name == "seed");
+        let points = plan
+            .expand()?
+            .into_iter()
+            .map(|overrides| {
+                let point: Vec<(String, f64)> = plan
+                    .axes()
+                    .iter()
+                    .map(|(name, _)| (name.clone(), overrides.number(name).expect("axis value")))
+                    .collect();
+                let mut params = self.resolve(id, &overrides)?;
+                // Deterministic per-job seeding: independent of worker
+                // scheduling, stable across runs, unique per grid point
+                // — unless the caller pinned the seed explicitly.
+                if has_seed && !overrides.contains("seed") {
+                    let derived = BASE_SEED ^ fnv1a(params.fingerprint().as_bytes());
+                    // 32 bits: exactly representable in the f64 that
+                    // `ParamValue::Number` stores and well inside the
+                    // integer cap `ParamSet::count` enforces.
+                    params.insert("seed", f64::from(derived as u32));
+                }
+                Ok((point, params))
+            })
+            .collect::<Result<_, EngineError>>()?;
+        Ok(ValidPlan {
+            plan: plan.clone(),
+            points,
+        })
+    }
+
     /// Runs one scenario, serving repeats from the cache.
     ///
     /// # Errors
     ///
-    /// Resolution errors plus whatever the scenario itself returns.
+    /// Resolution errors plus whatever the scenario itself returns (a
+    /// panic comes back as [`EngineError::Scenario`]).
     pub fn run(&self, id: &str, overrides: &ParamSet) -> Result<RunOutcome, EngineError> {
         let params = self.resolve(id, overrides)?;
-        self.run_resolved(id, &params)
-    }
-
-    fn run_resolved(&self, id: &str, params: &ParamSet) -> Result<RunOutcome, EngineError> {
-        let outcome = self.run_budgeted(id, params, None)?;
-        Ok(outcome.expect("without a budget every job runs"))
-    }
-
-    /// [`Engine::run_resolved`] under an optional compute budget:
-    /// `Ok(None)` means both cache tiers declined *and* the budget was
-    /// already exhausted, so the job was not computed. The slot is
-    /// claimed at the actual compute step — a corrupt disk entry that
-    /// falls through to recompute still pays for its computation.
-    fn run_budgeted(
-        &self,
-        id: &str,
-        params: &ParamSet,
-        budget: Option<(&AtomicUsize, usize)>,
-    ) -> Result<Option<RunOutcome>, EngineError> {
+        let compute = Compute {
+            id,
+            params: &params,
+            budget: None,
+        };
         let key = ResultCache::key(id, &params.fingerprint());
-        let start = self.clock.now_nanos();
-        // No span around the memory probe: a hashmap get costs
-        // nanoseconds, and tracing it would cost more than it
-        // measures. The disk and compute tiers inside `run_cold` —
-        // the parts that take real time — each get their own span.
-        if let Some(output) = self.cache.get(key) {
-            let duration = self.clock.elapsed(start);
-            telemetry::observe("engine.warm_lookup_s", duration.as_secs_f64());
-            return Ok(Some(RunOutcome {
-                output,
-                cache_hit: true,
-                disk_hit: false,
-                duration,
-            }));
-        }
-        self.run_cold(id, params, budget, key, start)
-    }
-
-    /// The miss path of [`Engine::run_budgeted`]: disk tier, budget
-    /// claim, compute, and store-back. Split out so the sweep loop can
-    /// probe the memory tier itself (span-free) and hand off here
-    /// without a second, double-counted probe.
-    fn run_cold(
-        &self,
-        id: &str,
-        params: &ParamSet,
-        budget: Option<(&AtomicUsize, usize)>,
-        key: u64,
-        start: u64,
-    ) -> Result<Option<RunOutcome>, EngineError> {
-        let scenario = self.registry.get(id)?;
-        if let Some(store) = &self.store {
-            let load = telemetry::span_tree("disk.load");
-            let loaded = store.load(key);
-            load.finish();
-            if let Some(output) = loaded {
-                // Promote into the memory tier; repeats are then free.
-                let output = Arc::new(output);
-                self.cache.insert(key, Arc::clone(&output));
-                let duration = self.clock.elapsed(start);
-                telemetry::observe("engine.disk_load_s", duration.as_secs_f64());
-                return Ok(Some(RunOutcome {
-                    output,
-                    cache_hit: true,
-                    disk_hit: true,
-                    duration,
-                }));
-            }
-        }
-        if let Some((claimed, limit)) = budget {
-            if claimed.fetch_add(1, Ordering::Relaxed) >= limit {
-                return Ok(None);
-            }
-        }
-        let compute = telemetry::span_tree("compute");
-        let output = Arc::new(scenario.run(params)?);
-        compute.finish();
-        self.cache.insert(key, Arc::clone(&output));
-        if let Some(store) = &self.store {
-            let save = telemetry::span_tree("disk.store");
-            store.save(key, &output);
-            save.finish();
-        }
-        let duration = self.clock.elapsed(start);
-        telemetry::observe("engine.compute_s", duration.as_secs_f64());
-        Ok(Some(RunOutcome {
+        let walk = self.walk(key, self.clock.now_nanos(), None, Some(compute));
+        let (tier, output) = walk.served?.expect("without a budget every miss computes");
+        Ok(RunOutcome {
             output,
-            cache_hit: false,
-            disk_hit: false,
-            duration,
-        }))
+            tier,
+            duration: walk.duration,
+        })
     }
 
     /// Looks a result up by its content address across both cache
@@ -474,16 +509,76 @@ impl Engine {
     /// from the shared warm cache.
     #[must_use]
     pub fn lookup(&self, key: u64) -> Option<Arc<ScenarioOutput>> {
-        if let Some(output) = self.cache.get(key) {
-            return Some(output);
+        let walk = self.walk(key, self.clock.now_nanos(), None, None);
+        walk.served.ok().flatten().map(|(_, output)| output)
+    }
+
+    /// The one walk down the tiers, behind [`Engine::run`],
+    /// [`Engine::lookup`] (no compute step), and every sweep job:
+    /// memory → disk (promoting into memory) → budget claim → compute →
+    /// store-back. The budget slot is claimed only at the compute step,
+    /// so a corrupt disk entry that falls through pays for its compute.
+    /// Memory hits open no span (tracing a hashmap get would cost more
+    /// than it measures); a sweep job (`job` = its index) that misses
+    /// memory opens a `job` span over `disk.load`, `compute`, and
+    /// `disk.store`.
+    fn walk(&self, key: u64, start: u64, job: Option<usize>, compute: Option<Compute<'_>>) -> Walk {
+        let mut job_span = None;
+        let served = 'walk: {
+            if let Some(output) = self.cache.get(key) {
+                break 'walk Ok(Some((Tier::Warm, output)));
+            }
+            job_span = job.map(|index| {
+                telemetry::span_tree_with("job", &[("index", Value::U64(index as u64))])
+            });
+            if let Some(store) = &self.store {
+                let load = telemetry::span_tree("disk.load");
+                let loaded = store.load(key);
+                load.finish();
+                if let Some(output) = loaded {
+                    // Promote into the memory tier; repeats are then free.
+                    let output = Arc::new(output);
+                    self.cache.insert(key, Arc::clone(&output));
+                    break 'walk Ok(Some((Tier::Disk, output)));
+                }
+            }
+            let Some(compute) = compute else {
+                break 'walk Ok(None);
+            };
+            if let Some((claimed, limit)) = compute.budget {
+                if claimed.fetch_add(1, Ordering::Relaxed) >= limit {
+                    break 'walk Ok(None);
+                }
+            }
+            let span = telemetry::span_tree("compute");
+            let scenario = self.registry.get(compute.id);
+            let ran = scenario.and_then(|s| run_contained(s.as_ref(), compute.params));
+            span.finish();
+            ran.map(|output| {
+                let output = Arc::new(output);
+                self.cache.insert(key, Arc::clone(&output));
+                if let Some(store) = &self.store {
+                    let save = telemetry::span_tree("disk.store");
+                    store.save(key, &output);
+                    save.finish();
+                }
+                Some((Tier::Computed, output))
+            })
+        };
+        let duration = self.clock.elapsed(start);
+        if let Ok(Some((tier, _))) = &served {
+            let histogram = match tier {
+                Tier::Warm => "engine.warm_lookup_s",
+                Tier::Disk => "engine.disk_load_s",
+                _ => "engine.compute_s",
+            };
+            telemetry::observe(histogram, duration.as_secs_f64());
         }
-        let store = self.store.as_ref()?;
-        let load = telemetry::span_tree("disk.load");
-        let loaded = store.load(key);
-        load.finish();
-        let output = Arc::new(loaded?);
-        self.cache.insert(key, Arc::clone(&output));
-        Some(output)
+        Walk {
+            served,
+            duration,
+            job_span,
+        }
     }
 
     /// Expands a [`SweepPlan`] and executes every grid point on the
@@ -494,15 +589,15 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Plan-level problems only: unknown scenario, unknown or
-    /// duplicated parameters, an empty axis.
+    /// Plan-level problems only, as [`Engine::validate`] reports them.
     pub fn sweep(&self, plan: &SweepPlan) -> Result<SweepOutcome, EngineError> {
         self.sweep_with(plan, &SweepOptions::default())
     }
 
     /// [`Engine::sweep`] with execution knobs: a compute-job budget
-    /// (for checkpointed partial runs) and a per-job completion hook
-    /// (for streaming journals). See [`SweepOptions`].
+    /// (for checkpointed partial runs), a per-job completion hook, and
+    /// cooperative cancellation. See [`SweepOptions`]; for a journaled,
+    /// resumable sweep use a [`Run`](crate::Run).
     ///
     /// # Errors
     ///
@@ -512,44 +607,13 @@ impl Engine {
         plan: &SweepPlan,
         options: &SweepOptions<'_>,
     ) -> Result<SweepOutcome, EngineError> {
-        let id = plan.scenario().to_owned();
-        let scenario = self.registry.get(&id)?;
-        let specs = scenario.params();
-        let has_seed = specs.iter().any(|s| s.name == "seed");
-        for (name, _) in plan.axes() {
-            if !specs.iter().any(|s| s.name == name.as_str()) {
-                return Err(EngineError::UnknownParameter {
-                    scenario: id.clone(),
-                    name: name.clone(),
-                });
-            }
-        }
+        Ok(self.sweep_valid(self.validate(plan)?, options))
+    }
 
-        let points: Vec<ParamSet> = plan.expand()?;
-        let jobs: Vec<(Vec<(String, f64)>, ParamSet)> = points
-            .into_iter()
-            .map(|overrides| {
-                let point: Vec<(String, f64)> = plan
-                    .axes()
-                    .iter()
-                    .map(|(name, _)| (name.clone(), overrides.number(name).expect("axis value")))
-                    .collect();
-                let mut resolved = self.resolve(&id, &overrides)?;
-                // Deterministic per-job seeding: independent of worker
-                // scheduling, stable across runs, unique per grid point
-                // — unless the caller pinned the seed explicitly.
-                if has_seed && !overrides.contains("seed") {
-                    let derived =
-                        self.base_seed ^ crate::cache::fnv1a(resolved.fingerprint().as_bytes());
-                    // 32 bits: exactly representable in the f64 that
-                    // `ParamValue::Number` stores and well inside the
-                    // integer cap `ParamSet::count` enforces.
-                    resolved.insert("seed", f64::from(derived as u32));
-                }
-                Ok((point, resolved))
-            })
-            .collect::<Result<_, EngineError>>()?;
-
+    /// The sweep loop over an already validated plan: every grid point
+    /// walks the tiers on the worker pool.
+    pub(crate) fn sweep_valid(&self, plan: ValidPlan, options: &SweepOptions<'_>) -> SweepOutcome {
+        let id = plan.plan.scenario();
         let start = self.clock.now_nanos();
         // The sweep root span: every job span (and everything under
         // it, down to kernel builds and journal flushes on worker
@@ -559,15 +623,15 @@ impl Engine {
             telemetry::event(
                 "sweep.start",
                 &[
-                    ("scenario", Value::Text(id.clone())),
-                    ("jobs", Value::U64(jobs.len() as u64)),
+                    ("scenario", Value::Text(id.to_owned())),
+                    ("jobs", Value::U64(plan.points.len() as u64)),
                     ("workers", Value::U64(self.pool.workers() as u64)),
                 ],
             );
             telemetry::set_lane_label("sweep");
             sweep_span = Some(telemetry::span_tree_with(
                 "sweep",
-                &[("scenario", Value::Text(id.clone()))],
+                &[("scenario", Value::Text(id.to_owned()))],
             ));
         }
         // Scenarios with internal parallelism (the Monte-Carlo dynamics)
@@ -575,140 +639,76 @@ impl Engine {
         // does not multiply thread counts (7 jobs × 8 inner workers).
         let inner_workers =
             (WorkerPool::with_default_parallelism().workers() / self.pool.workers().max(1)).max(1);
-        // Every job that reaches the compute step claims one budget
-        // slot (inside `run_cold`, after both cache tiers have
-        // declined — so cache-served jobs are free and a corrupt disk
-        // entry cannot sneak an unbudgeted computation through).
         let computed = AtomicUsize::new(0);
         let budget = options.limit.map(|limit| (&computed, limit));
-        struct JobResult {
-            cache_hit: bool,
-            disk_hit: bool,
-            skipped: bool,
-            result: Result<Arc<ScenarioOutput>, String>,
-        }
         let busy_ns = AtomicU64::new(0);
-        let results: Vec<JobResult> = self.pool.scoped_map(&jobs, |index, (_, params)| {
+        let results = self.pool.scoped_map(&plan.points, |index, (_, params)| {
             SCENARIO_WORKERS.set(Some(inner_workers));
-            let key = ResultCache::key(&id, &params.fingerprint());
+            let key = ResultCache::key(id, &params.fingerprint());
             let job_start = self.clock.now_nanos();
-            // Memory-tier probe before any span opens: a warm hit is a
-            // hashmap get costing nanoseconds, and bracketing it in
-            // span events would cost more than the work it measures.
-            // Jobs that miss — the ones with real structure underneath
-            // (disk loads, compute, kernels, journal flushes) — get a
-            // span per grid point, parented under the sweep root
-            // through the pool's captured context.
             // Cooperative cancellation (a draining server): jobs that
             // have not started when the flag flips are skipped — like
             // budget exhaustion — so the journal stays resumable.
-            let cancelled = options.cancel.is_some_and(|c| c.load(Ordering::Relaxed));
-            let warm = if cancelled { None } else { self.cache.get(key) };
-            let _job_span = if warm.is_none() && !cancelled {
-                Some(telemetry::span_tree_with(
-                    "job",
-                    &[("index", Value::U64(index as u64))],
-                ))
-            } else {
-                None
-            };
-            let (cache_hit, disk_hit, skipped, result) = if cancelled {
-                (
-                    false,
-                    false,
-                    true,
-                    Err("not run: sweep cancelled (resume to continue)".to_owned()),
-                )
-            } else if let Some(output) = warm {
-                telemetry::observe(
-                    "engine.warm_lookup_s",
-                    self.clock.elapsed(job_start).as_secs_f64(),
-                );
-                (true, false, false, Ok(output))
-            } else {
-                match self.run_cold(&id, params, budget, key, job_start) {
-                    Ok(Some(outcome)) => (
-                        outcome.cache_hit,
-                        outcome.disk_hit,
-                        false,
-                        Ok(outcome.output),
-                    ),
-                    Ok(None) => (
-                        false,
-                        false,
-                        true,
-                        Err("not run: sweep job budget exhausted (resume to continue)".to_owned()),
-                    ),
-                    Err(e) => (false, false, false, Err(e.to_string())),
-                }
-            };
-            let duration = self.clock.elapsed(job_start);
-            if !skipped {
+            let (tier, result, duration, _job_span) =
+                if options.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                    let cancelled = "not run: sweep cancelled (resume to continue)";
+                    let duration = self.clock.elapsed(job_start);
+                    (Tier::Skipped, Err(cancelled.to_owned()), duration, None)
+                } else {
+                    let compute = Compute { id, params, budget };
+                    let walk = self.walk(key, job_start, Some(index), Some(compute));
+                    let (tier, result) = match walk.served {
+                        Ok(Some((tier, output))) => (tier, Ok(output)),
+                        Ok(None) => (
+                            Tier::Skipped,
+                            Err("not run: sweep job budget exhausted (resume to continue)"
+                                .to_owned()),
+                        ),
+                        Err(e) => (Tier::Failed, Err(e.to_string())),
+                    };
+                    (tier, result, walk.duration, walk.job_span)
+                };
+            if tier != Tier::Skipped {
                 busy_ns.fetch_add(duration.as_nanos() as u64, Ordering::Relaxed);
             }
             if telemetry::enabled() {
-                let source = if skipped {
-                    "skipped"
-                } else if result.is_err() {
-                    "error"
-                } else if disk_hit {
-                    "disk"
-                } else if cache_hit {
-                    "warm"
-                } else {
-                    "computed"
-                };
                 telemetry::event(
                     "job.done",
                     &[
                         ("index", Value::U64(index as u64)),
-                        ("source", Value::Text(source.to_owned())),
+                        ("source", Value::Text(tier.as_str().to_owned())),
                         ("duration_ns", Value::U64(duration.as_nanos() as u64)),
                         ("ok", Value::Bool(result.is_ok())),
-                        ("scenario", Value::Text(id.clone())),
+                        ("scenario", Value::Text(id.to_owned())),
                     ],
                 );
             }
-            let event = JobEvent {
-                index,
-                key,
-                params,
-                ok: result.is_ok(),
-                cache_hit,
-                disk_hit,
-                skipped,
-                duration,
-            };
             if let Some(on_done) = options.on_done {
-                on_done(&event);
+                on_done(&JobEvent {
+                    index,
+                    key,
+                    params,
+                    ok: result.is_ok(),
+                    tier,
+                    duration,
+                });
             }
-            JobResult {
-                cache_hit,
-                disk_hit,
-                skipped,
-                result,
-            }
+            (tier, result)
         });
 
-        let jobs: Vec<SweepJob> = jobs
-            .into_iter()
-            .zip(results)
-            .map(|((point, params), r)| SweepJob {
-                point,
-                params,
-                result: r.result,
-                cache_hit: r.cache_hit,
-                disk_hit: r.disk_hit,
-                skipped: r.skipped,
-            })
-            .collect();
-        let cache_hits = jobs.iter().filter(|j| j.cache_hit).count();
-        let disk_hits = jobs.iter().filter(|j| j.disk_hit).count();
-        let skipped = jobs.iter().filter(|j| j.skipped).count();
-        let errors = jobs
-            .iter()
-            .filter(|j| j.result.is_err() && !j.skipped)
-            .count();
+        let (mut cache_hits, mut disk_hits, mut errors, mut skipped) = (0, 0, 0, 0);
+        for (tier, _) in &results {
+            match tier {
+                Tier::Warm => cache_hits += 1,
+                Tier::Disk => {
+                    cache_hits += 1;
+                    disk_hits += 1;
+                }
+                Tier::Computed => {}
+                Tier::Skipped => skipped += 1,
+                Tier::Failed => errors += 1,
+            }
+        }
         let duration = self.clock.elapsed(start);
         telemetry::counter_add("engine.busy_ns", busy_ns.load(Ordering::Relaxed));
         telemetry::observe("engine.sweep_s", duration.as_secs_f64());
@@ -727,15 +727,27 @@ impl Engine {
         // Close the root span last so the trace covers the whole run,
         // end events included.
         drop(sweep_span);
-        Ok(SweepOutcome {
-            scenario: id,
+        let jobs = plan
+            .points
+            .into_iter()
+            .zip(results)
+            .map(|((point, params), (tier, result))| SweepJob {
+                point,
+                params,
+                result,
+                cache_hit: tier.is_cache_hit(),
+                tier,
+            })
+            .collect();
+        SweepOutcome {
+            scenario: id.to_owned(),
             jobs,
             cache_hits,
             disk_hits,
             errors,
             skipped,
             duration,
-        })
+        }
     }
 
     /// Runs every registered scenario with default parameters and
@@ -824,7 +836,7 @@ mod tests {
                         if seen.fetch_add(1, Ordering::Relaxed) + 1 == 2 {
                             cancel.store(true, Ordering::Relaxed);
                         }
-                        assert_eq!(event.ok, !event.skipped);
+                        assert_eq!(event.ok, event.tier != Tier::Skipped);
                     }),
                     ..SweepOptions::default()
                 },
@@ -834,7 +846,7 @@ mod tests {
         assert_eq!(outcome.skipped, 2);
         assert_eq!(outcome.errors, 0, "skips are not errors");
         for job in &outcome.jobs[2..] {
-            assert!(job.skipped);
+            assert_eq!(job.tier, Tier::Skipped);
             let message = job.result.as_ref().unwrap_err();
             assert!(message.contains("cancelled"), "{message}");
         }
@@ -866,14 +878,14 @@ mod tests {
         let engine = Engine::standard();
         let first = engine.run("fig4a", &ParamSet::new()).unwrap();
         let second = engine.run("fig4a", &ParamSet::new()).unwrap();
-        assert!(!first.cache_hit);
-        assert!(second.cache_hit);
+        assert_eq!(first.tier, Tier::Computed);
+        assert_eq!(second.tier, Tier::Warm);
         assert!(Arc::ptr_eq(&first.output, &second.output));
         // A different parameter point is a different cache entry.
         let third = engine
             .run("fig4a", &ParamSet::new().with("pitch", 120.0))
             .unwrap();
-        assert!(!third.cache_hit);
+        assert_eq!(third.tier, Tier::Computed);
     }
 
     #[test]

@@ -216,27 +216,18 @@ impl SweepJournal {
     /// so a collision never clobbers the live run's journal).
     pub fn create(path: impl Into<PathBuf>, plan: &SweepPlan) -> Result<Self, EngineError> {
         let path = path.into();
+        // Acquiring the lock also creates the journal's directory.
         let lock = RunLock::acquire(&path)?;
         let fail = |message: String| EngineError::Persistence {
             path: path.display().to_string(),
             message,
         };
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)
-                .map_err(|e| fail(format!("cannot create journal directory: {e}")))?;
-        }
         let mut file =
             fs::File::create(&path).map_err(|e| fail(format!("cannot create journal: {e}")))?;
         file.write_all(encode_header(plan).as_bytes())
             .and_then(|()| file.flush())
             .map_err(|e| fail(format!("cannot write journal header: {e}")))?;
-        Ok(Self {
-            path,
-            file: Mutex::new(file),
-            poisoned: AtomicBool::new(false),
-            reported: AtomicBool::new(false),
-            _lock: lock,
-        })
+        Ok(Self::over(path, file, lock))
     }
 
     /// Opens an existing journal for resumption: parses the plan and
@@ -263,16 +254,18 @@ impl SweepJournal {
             .append(true)
             .open(&path)
             .map_err(|e| fail(format!("cannot reopen journal for appending: {e}")))?;
-        Ok((
-            Self {
-                path,
-                file: Mutex::new(file),
-                poisoned: AtomicBool::new(false),
-                reported: AtomicBool::new(false),
-                _lock: lock,
-            },
-            state,
-        ))
+        Ok((Self::over(path, file, lock), state))
+    }
+
+    /// A journal appending to `file`, owning the run `lock`.
+    fn over(path: PathBuf, file: fs::File, lock: RunLock) -> Self {
+        Self {
+            path,
+            file: Mutex::new(file),
+            poisoned: AtomicBool::new(false),
+            reported: AtomicBool::new(false),
+            _lock: lock,
+        }
     }
 
     /// Appends one completed grid point, flushed immediately so a kill

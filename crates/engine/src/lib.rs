@@ -12,20 +12,24 @@
 //!   temperature × voltage × …) with deterministic expansion order
 //!   and per-job seeding,
 //! * [`Engine`] — cache-aware execution on a shared work-stealing
-//!   worker pool ([`pool`], re-exported from `mramsim-numerics`),
+//!   worker pool ([`pool`], re-exported from `mramsim-numerics`): one
+//!   plan check ([`Engine::validate`]) and one walk down the tiers,
+//!   each job ending in a [`Tier`] (a panicking scenario is a `Failed`
+//!   point, not a dead sweep),
 //! * a content-addressed, capacity-bounded in-memory result [`cache`]
 //!   so repeated grid points are served without recomputation,
 //! * a persistent on-disk result [`store`] (schema-versioned, atomic,
 //!   corruption-tolerant) layered under the memory tier, so repeats
 //!   are served across *processes* too,
-//! * checkpointed sweeps via the [`journal`] module: every finished
-//!   grid point is durably logged, and an interrupted campaign resumes
-//!   with byte-identical output,
+//! * checkpointed sweeps: a [`Run`] — the one execution path of the
+//!   CLI and the server — logs every finished grid point to its
+//!   [`journal`], so an interrupted campaign resumes by run id with
+//!   byte-identical output,
 //! * a concurrent HTTP/JSON simulation service over one shared engine
 //!   ([`serve`]): job submission, streamed progress, content-addressed
 //!   result fetches, admission control, and graceful drain,
-//! * the `mramsim` CLI binary (`list`, `run`, `sweep`, `serve`,
-//!   `report`).
+//! * the `mramsim` CLI binary (`list`, `run`, `sweep`, `campaign`,
+//!   `serve`, `report`, `stats`, `trace`, `diff`).
 //!
 //! # Quickstart
 //!
@@ -57,23 +61,25 @@ mod error;
 pub mod journal;
 mod params;
 mod registry;
+mod run;
 mod scenario;
 pub mod serve;
 pub mod store;
 mod sweep;
 
 pub use engine::{
-    scenario_workers, Engine, JobEvent, RunOutcome, SweepJob, SweepOptions, SweepOutcome,
+    scenario_workers, Engine, JobEvent, RunOutcome, SweepJob, SweepOptions, SweepOutcome, Tier,
     DEFAULT_CACHE_CAPACITY,
 };
 pub use error::EngineError;
 pub use journal::{JournalState, SweepJournal};
 pub use params::{parse_value, ParamSet, ParamSpec, ParamValue};
 pub use registry::Registry;
+pub use run::Run;
 pub use scenario::{Scenario, ScenarioOutput};
 pub use serve::{ServeConfig, Server};
 pub use store::{DiskStats, DiskStore};
-pub use sweep::SweepPlan;
+pub use sweep::{SweepPlan, ValidPlan};
 
 /// The engine's worker pool, shared with `mramsim-array`'s sweeps.
 ///

@@ -40,7 +40,10 @@
 //! the run, the journal's run lock turns that into a clean 409.
 
 use crate::journal::SweepJournal;
-use crate::{Engine, EngineError, JobEvent, ParamValue, ScenarioOutput, SweepOptions, SweepPlan};
+use crate::{
+    Engine, EngineError, JobEvent, ParamValue, Run, ScenarioOutput, SweepOptions, SweepPlan, Tier,
+    ValidPlan,
+};
 use mramsim_numerics::hash::{key_hex, parse_key_hex};
 use mramsim_telemetry as telemetry;
 use mramsim_telemetry::{Json, MetricsRecorder, Recorder};
@@ -409,32 +412,6 @@ fn plan_from_json(body: &Json, want_axes: bool) -> Result<(SweepPlan, Option<usi
     Ok((plan, limit))
 }
 
-/// Validates a plan against the scenario's declared parameter specs —
-/// the same up-front check the CLI runs, so a typo'd submission fails
-/// with 400 instead of leaving a failed job behind.
-fn validate_plan(engine: &Engine, plan: &SweepPlan) -> Result<(), String> {
-    let specs = engine
-        .registry()
-        .get(plan.scenario())
-        .map_err(|e| e.to_string())?
-        .params();
-    for name in plan
-        .axes()
-        .iter()
-        .map(|(name, _)| name.as_str())
-        .chain(plan.fixed().iter().map(|(name, _)| name))
-    {
-        if !specs.iter().any(|s| s.name == name) {
-            return Err(format!(
-                "scenario `{}` has no parameter `{name}`",
-                plan.scenario()
-            ));
-        }
-    }
-    plan.expand().map_err(|e| e.to_string())?;
-    Ok(())
-}
-
 /// `POST /runs` / `POST /sweeps`: validate, dedupe against in-flight
 /// runs, admit, and launch.
 fn submit(state: &Arc<ServerState>, stream: &mut TcpStream, body: &str, want_axes: bool) {
@@ -448,10 +425,14 @@ fn submit(state: &Arc<ServerState>, stream: &mut TcpStream, body: &str, want_axe
         Ok(parsed) => parsed,
         Err(message) => return respond_error(stream, 400, &message),
     };
-    if let Err(message) = validate_plan(&state.engine, &plan) {
-        return respond_error(stream, 400, &message);
-    }
-    let run_id = SweepJournal::run_id(&plan);
+    // Validated once, up front: a typo'd submission fails with 400
+    // instead of leaving a failed job behind, and the job executes the
+    // checked plan without a second check.
+    let plan = match state.engine.validate(&plan) {
+        Ok(plan) => plan,
+        Err(e) => return respond_error(stream, 400, &e.to_string()),
+    };
+    let run_id = SweepJournal::run_id(plan.plan());
 
     // Dedupe + admission under one lock, so two racing submissions of
     // the same plan cannot both claim a slot.
@@ -486,7 +467,7 @@ fn submit(state: &Arc<ServerState>, stream: &mut TcpStream, body: &str, want_axe
             telemetry::counter_add("serve.submitted", 1);
             let state = Arc::clone(state);
             let launched = job_id.clone();
-            std::thread::spawn(move || run_job(&state, &job, &launched, &plan, limit));
+            std::thread::spawn(move || run_job(&state, &job, &launched, plan, limit));
             (job_id, false)
         }
     };
@@ -504,10 +485,11 @@ fn event_line(event: &JobEvent<'_>) -> String {
     let mut obj = BTreeMap::new();
     obj.insert("index".to_owned(), Json::Num(event.index as f64));
     obj.insert("key".to_owned(), Json::Str(key_hex(event.key)));
+    let tier = event.tier;
     obj.insert("ok".to_owned(), Json::Bool(event.ok));
-    obj.insert("cache_hit".to_owned(), Json::Bool(event.cache_hit));
-    obj.insert("disk_hit".to_owned(), Json::Bool(event.disk_hit));
-    obj.insert("skipped".to_owned(), Json::Bool(event.skipped));
+    obj.insert("cache_hit".to_owned(), Json::Bool(tier.is_cache_hit()));
+    obj.insert("disk_hit".to_owned(), Json::Bool(tier == Tier::Disk));
+    obj.insert("skipped".to_owned(), Json::Bool(tier == Tier::Skipped));
     obj.insert(
         "duration_s".to_owned(),
         Json::Num(event.duration.as_secs_f64()),
@@ -515,51 +497,32 @@ fn event_line(event: &JobEvent<'_>) -> String {
     Json::Obj(obj).render()
 }
 
-/// Executes one submitted job on its own thread: journal, sweep,
-/// final summary line, cleanup.
+/// Executes one submitted job on its own thread: the journaled run,
+/// the final summary line, cleanup.
 fn run_job(
     state: &Arc<ServerState>,
     job: &Arc<Job>,
     job_id: &str,
-    plan: &SweepPlan,
+    plan: ValidPlan,
     limit: Option<usize>,
 ) {
     telemetry::set_lane_label("serve-job");
-    // Journal the run when a disk tier exists to resume from. The run
-    // lock also fences other *processes* off this run id; a live
-    // holder fails the job cleanly instead of interleaving journals.
-    let journal = match (&state.cache_dir, state.engine.store().is_some()) {
-        (Some(dir), true) => {
-            match SweepJournal::create(SweepJournal::path_for(dir, &job.run_id), plan) {
-                Ok(journal) => Some(journal),
-                Err(e) => {
-                    let mut obj = BTreeMap::new();
-                    obj.insert("status".to_owned(), Json::Str("failed".to_owned()));
-                    obj.insert("error".to_owned(), Json::Str(e.to_string()));
-                    job.push_line(Json::Obj(obj).render(), true);
-                    finish_job(state, job_id, &job.run_id);
-                    return;
-                }
-            }
-        }
-        _ => None,
-    };
-    let on_done = |event: &JobEvent<'_>| {
-        if event.ok {
-            if let Some(journal) = &journal {
-                journal.record(event.index, event.key);
-            }
-        }
-        job.push_line(event_line(event), false);
-    };
+    let on_done = |event: &JobEvent<'_>| job.push_line(event_line(event), false);
     let options = SweepOptions {
         limit,
         on_done: Some(&on_done),
         cancel: Some(&state.cancel),
     };
     let mut obj = BTreeMap::new();
-    match state.engine.sweep_with(plan, &options) {
-        Ok(outcome) => {
+    // The run's lock also fences other *processes* off this run id: a
+    // live holder fails the job cleanly instead of interleaving
+    // journals. Executing releases the lock before the job leaves the
+    // live-run map — a resubmission landing between the two would
+    // otherwise find the journal still locked and fail with
+    // `RunInFlight`.
+    match Run::open(&state.engine, plan, state.cache_dir.as_deref()) {
+        Ok(run) => {
+            let outcome = run.execute(&options);
             obj.insert("status".to_owned(), Json::Str("done".to_owned()));
             obj.insert("scenario".to_owned(), Json::Str(outcome.scenario.clone()));
             obj.insert("jobs".to_owned(), Json::Num(outcome.jobs.len() as f64));
@@ -584,26 +547,11 @@ fn run_job(
             obj.insert("error".to_owned(), Json::Str(e.to_string()));
         }
     }
-    // Surface a recovered journal poisoning exactly once, as designed:
-    // the sweep finished, the journal kept flushing, but the panic
-    // still deserves a line in the server log.
-    if let Some(poisoned) = journal.as_ref().and_then(SweepJournal::poison_error) {
-        telemetry::counter_add("serve.poison_recoveries", 1);
-        eprintln!("warning: {poisoned}");
-    }
     job.push_line(Json::Obj(obj).render(), true);
-    // Release the run lock *before* leaving the live-run map: a
-    // resubmission landing between the two would otherwise find the
-    // journal still locked and fail with `RunInFlight`.
-    drop(journal);
-    finish_job(state, job_id, &job.run_id);
-}
-
-/// Releases a finished job's admission slot and live-run entry.
-fn finish_job(state: &ServerState, job_id: &str, run_id: &str) {
+    // Release the admission slot and the live-run entry.
     let mut live = lock(&state.live_runs);
-    if live.get(run_id).map(String::as_str) == Some(job_id) {
-        live.remove(run_id);
+    if live.get(&job.run_id).map(String::as_str) == Some(job_id) {
+        live.remove(&job.run_id);
     }
     drop(live);
     state.inflight.fetch_sub(1, Ordering::Relaxed);

@@ -144,14 +144,6 @@ impl DiskStore {
         self.root.join(format!("{}.mse", key_hex(key)))
     }
 
-    /// Whether an entry file exists for `key`, without reading it or
-    /// touching counters (the entry may still fail its checksum on
-    /// load).
-    #[must_use]
-    pub fn contains(&self, key: u64) -> bool {
-        self.entry_path(key).exists()
-    }
-
     /// Loads the entry for `key`. Missing files are misses; corrupt
     /// files (checksum or parse failure) are dropped from disk and
     /// reported as misses, so the caller falls back to recompute.
@@ -503,7 +495,6 @@ mod tests {
         let output = rich_output();
         assert!(store.load(7).is_none());
         store.save(7, &output);
-        assert!(store.contains(7));
         assert_eq!(store.load(7), Some(output));
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.writes), (1, 1, 1));

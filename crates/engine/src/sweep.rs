@@ -120,6 +120,24 @@ impl SweepPlan {
     }
 }
 
+/// A [`SweepPlan`] that passed [`crate::Engine::validate`], expanded
+/// into its grid points (axis values plus resolved, seeded parameters).
+/// Only `validate` builds one, so no [`crate::Run`] — and no journal —
+/// exists for a plan that cannot run.
+#[derive(Debug, Clone)]
+pub struct ValidPlan {
+    pub(crate) plan: SweepPlan,
+    pub(crate) points: Vec<(Vec<(String, f64)>, ParamSet)>,
+}
+
+impl ValidPlan {
+    /// The plan as submitted.
+    #[must_use]
+    pub fn plan(&self) -> &SweepPlan {
+        &self.plan
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,12 @@
 //! End-to-end coverage of the execution engine: every registered
 //! scenario runs with its default parameters, produces non-empty
-//! output, and is served from the cache on the second run.
+//! output, and is served from the cache on the second run; bad plans
+//! fail the one plan check with their typed errors; and a panicking
+//! scenario fails its own grid point, not the sweep.
 
-use mramsim_engine::{Engine, ParamSet, SweepPlan};
+use mramsim_engine::{Engine, EngineError, ParamSet, ParamSpec, Registry, Scenario};
+use mramsim_engine::{ScenarioOutput, SweepPlan, Tier};
+use std::sync::Arc;
 
 #[test]
 fn every_registered_scenario_runs_end_to_end_and_caches() {
@@ -14,7 +18,7 @@ fn every_registered_scenario_runs_end_to_end_and_caches() {
         let cold = engine
             .run(id, &ParamSet::new())
             .unwrap_or_else(|e| panic!("{id} failed: {e}"));
-        assert!(!cold.cache_hit, "{id}: first run must be a miss");
+        assert_eq!(cold.tier, Tier::Computed, "{id}: first run must be a miss");
         assert!(
             !cold.output.tables.is_empty(),
             "{id}: no tables in the output"
@@ -30,7 +34,11 @@ fn every_registered_scenario_runs_end_to_end_and_caches() {
         let warm = engine
             .run(id, &ParamSet::new())
             .unwrap_or_else(|e| panic!("{id} warm run failed: {e}"));
-        assert!(warm.cache_hit, "{id}: second run must be a cache hit");
+        assert_eq!(
+            warm.tier,
+            Tier::Warm,
+            "{id}: second run must be a cache hit"
+        );
     }
 
     let stats = engine.cache_stats();
@@ -98,9 +106,13 @@ fn wer_mc_is_deterministic_cached_and_sweepable_over_pulse_width() {
         .with("trajectories", 128.0)
         .with("seed", 7.0);
     let cold = engine.run("wer-mc", &point).unwrap();
-    assert!(!cold.cache_hit);
+    assert_eq!(cold.tier, Tier::Computed);
     let warm = engine.run("wer-mc", &point).unwrap();
-    assert!(warm.cache_hit, "repeat run must be served from the cache");
+    assert_eq!(
+        warm.tier,
+        Tier::Warm,
+        "repeat run must be served from the cache"
+    );
     assert_eq!(
         cold.output.scalar("wer_mc"),
         warm.output.scalar("wer_mc"),
@@ -110,7 +122,7 @@ fn wer_mc_is_deterministic_cached_and_sweepable_over_pulse_width() {
     let reseeded = engine
         .run("wer-mc", &point.clone().with("seed", 8.0))
         .unwrap();
-    assert!(!reseeded.cache_hit);
+    assert_eq!(reseeded.tier, Tier::Computed);
 
     let plan = SweepPlan::new("wer-mc")
         .fix("trajectories", 128.0)
@@ -188,4 +200,102 @@ fn sweep_results_match_isolated_runs() {
             job.point
         );
     }
+}
+
+#[test]
+fn validate_rejects_every_bad_plan_with_its_typed_error() {
+    let engine = Engine::standard();
+    let unknown = |name: &str| EngineError::UnknownParameter {
+        scenario: "fig4b".into(),
+        name: name.into(),
+    };
+    let invalid = |message: &str| EngineError::InvalidParameter {
+        name: "pitch".into(),
+        message: message.into(),
+    };
+    let fig4b = || SweepPlan::new("fig4b");
+    let cases = [
+        (
+            "unknown scenario",
+            SweepPlan::new("nope").axis("pitch", vec![90.0]),
+            EngineError::UnknownScenario { id: "nope".into() },
+        ),
+        (
+            "unknown axis",
+            fig4b().axis("bogus", vec![1.0]),
+            unknown("bogus"),
+        ),
+        (
+            "unknown fixed parameter",
+            fig4b().fix("bogus", 1.0).axis("pitch", vec![90.0]),
+            unknown("bogus"),
+        ),
+        (
+            "empty axis",
+            fig4b().axis("pitch", vec![]),
+            invalid("sweep axis has no values"),
+        ),
+        (
+            "duplicate axis",
+            fig4b().axis("pitch", vec![90.0]).axis("pitch", vec![120.0]),
+            invalid("parameter appears twice in the plan"),
+        ),
+        (
+            "axis duplicating a fixed parameter",
+            fig4b().fix("pitch", 100.0).axis("pitch", vec![90.0, 120.0]),
+            invalid("parameter appears twice in the plan"),
+        ),
+    ];
+    for (case, plan, expected) in cases {
+        match engine.validate(&plan) {
+            Err(e) => assert_eq!(e, expected, "{case}"),
+            Ok(valid) => panic!("{case}: accepted {valid:?}"),
+        }
+    }
+    let valid = engine
+        .validate(&fig4b().fix("ecd", 35.0).axis("pitch", vec![90.0, 120.0]))
+        .unwrap();
+    assert_eq!(valid.plan().len(), 2);
+}
+
+/// A scenario that panics for `x > 1`.
+struct Fragile;
+
+impl Scenario for Fragile {
+    fn id(&self) -> &'static str {
+        "fragile"
+    }
+    fn summary(&self) -> &'static str {
+        "panics for x > 1"
+    }
+    fn params(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::new("x", "input", 0.0)]
+    }
+    fn run(&self, params: &ParamSet) -> Result<ScenarioOutput, EngineError> {
+        let x = params.number("x")?;
+        assert!(x <= 1.0, "x = {x} is out of range");
+        Ok(ScenarioOutput::default().with_scalar("x", x))
+    }
+}
+
+#[test]
+fn a_panicking_job_fails_alone() {
+    let mut registry = Registry::new();
+    registry.register(Arc::new(Fragile));
+    let engine = Engine::new(registry).with_workers(1);
+    let plan = SweepPlan::new("fragile").axis("x", vec![0.0, 2.0, 1.0]);
+    let outcome = engine.sweep(&plan).unwrap();
+    assert_eq!((outcome.errors, outcome.skipped), (1, 0));
+    let tiers: Vec<Tier> = outcome.jobs.iter().map(|j| j.tier).collect();
+    assert_eq!(tiers, [Tier::Computed, Tier::Failed, Tier::Computed]);
+    let message = outcome.jobs[1].result.as_ref().unwrap_err();
+    assert_eq!(
+        message,
+        "scenario `fragile` failed: panicked: x = 2 is out of range"
+    );
+    // A single run of the same point is the same typed error.
+    assert!(matches!(
+        engine.run("fragile", &ParamSet::new().with("x", 2.0)),
+        Err(EngineError::Scenario { .. })
+    ));
 }

@@ -3,7 +3,7 @@
 //! interrupted-then-resumed sweeps whose output is byte-identical to
 //! an uninterrupted run.
 
-use mramsim_engine::{Engine, SweepJournal, SweepOptions, SweepPlan};
+use mramsim_engine::{Engine, Run, SweepOptions, SweepPlan};
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
@@ -188,31 +188,21 @@ fn bounded_memory_tier_reports_pressure_and_leans_on_disk() {
 fn interrupted_sweep_resumes_to_a_byte_identical_csv() {
     let interrupted_dir = TempDir::new("resume");
     let plan = nine_point_plan();
-    let journal_path = SweepJournal::path_for(&interrupted_dir.0, &SweepJournal::run_id(&plan));
 
-    // "Process" A: journaled sweep killed after 4 of 9 jobs (the job
+    // "Process" A: journaled run killed after 4 of 9 jobs (the job
     // budget stands in for the kill — completed work is on disk and in
     // the journal, the rest never ran).
-    {
+    let run_id = {
         let engine = Engine::standard()
             .with_disk_cache(&interrupted_dir.0)
             .unwrap();
-        let journal = SweepJournal::create(&journal_path, &plan).unwrap();
-        let record = |e: &mramsim_engine::JobEvent<'_>| {
-            if e.ok {
-                journal.record(e.index, e.key);
-            }
-        };
-        let partial = engine
-            .sweep_with(
-                &plan,
-                &SweepOptions {
-                    limit: Some(4),
-                    on_done: Some(&record),
-                    cancel: None,
-                },
-            )
-            .unwrap();
+        let valid = engine.validate(&plan).unwrap();
+        let run = Run::open(&engine, valid, Some(&interrupted_dir.0)).unwrap();
+        let run_id = run.run_id().to_owned();
+        let partial = run.execute(&SweepOptions {
+            limit: Some(4),
+            ..SweepOptions::default()
+        });
         assert_eq!(partial.skipped, 5, "the budget must stop the sweep");
         assert_eq!(partial.errors, 0);
         let table = partial.summary_table();
@@ -220,32 +210,19 @@ fn interrupted_sweep_resumes_to_a_byte_identical_csv() {
             table.to_csv().contains("skipped"),
             "partial output must mark unrun points"
         );
-    }
+        run_id
+    };
 
-    // "Process" B: resume from the journal alone — plan reconstructed,
+    // "Process" B: resume from the run id alone — plan reconstructed,
     // finished points served from disk, the rest computed now.
     let resumed_csv = {
-        let (journal, state) = SweepJournal::resume(&journal_path).unwrap();
-        assert_eq!(state.plan, plan, "journal must reconstruct the plan");
-        assert_eq!(state.done.len(), 4);
         let engine = Engine::standard()
             .with_disk_cache(&interrupted_dir.0)
             .unwrap();
-        let record = |e: &mramsim_engine::JobEvent<'_>| {
-            if e.ok {
-                journal.record(e.index, e.key);
-            }
-        };
-        let outcome = engine
-            .sweep_with(
-                &state.plan,
-                &SweepOptions {
-                    limit: None,
-                    on_done: Some(&record),
-                    cancel: None,
-                },
-            )
-            .unwrap();
+        let run = Run::resume(&engine, &interrupted_dir.0, &run_id).unwrap();
+        assert_eq!(run.plan(), &plan, "journal must reconstruct the plan");
+        assert_eq!(run.journaled(), 4);
+        let outcome = run.execute(&SweepOptions::default());
         assert_eq!(outcome.errors + outcome.skipped, 0);
         assert_eq!(outcome.disk_hits, 4, "the interrupted work is reused");
         outcome.summary_table().to_csv()
@@ -266,8 +243,40 @@ fn interrupted_sweep_resumes_to_a_byte_identical_csv() {
     );
 
     // The journal now logs all nine points.
-    let (_, state) = SweepJournal::resume(&journal_path).unwrap();
-    assert_eq!(state.done.len(), 9);
+    let engine = Engine::standard()
+        .with_disk_cache(&interrupted_dir.0)
+        .unwrap();
+    let run = Run::resume(&engine, &interrupted_dir.0, &run_id).unwrap();
+    assert_eq!(run.journaled(), 9);
+}
+
+/// Whether `<cache-dir>/runs/` holds no file at all.
+fn no_runs(cache_dir: &std::path::Path) -> bool {
+    let runs = cache_dir.join("runs");
+    !runs.exists() || fs::read_dir(&runs).unwrap().next().is_none()
+}
+
+#[test]
+fn a_rejected_plan_leaves_no_journal() {
+    let dir = TempDir::new("rejected");
+    let engine = Engine::standard().with_disk_cache(&dir.0).unwrap();
+    let open = |plan: &SweepPlan| {
+        let valid = engine.validate(plan)?;
+        Run::open(&engine, valid, Some(&dir.0))
+    };
+    for plan in [
+        nine_point_plan().fix("pitch", 100.0),
+        nine_point_plan().axis("pitch", vec![90.0]),
+        nine_point_plan().axis("psi_threshold", vec![]),
+        nine_point_plan().fix("pitchx", 1.0),
+    ] {
+        assert!(open(&plan).is_err(), "{plan:?} must be rejected");
+        assert!(no_runs(&dir.0), "{plan:?} left a journal behind");
+    }
+    // The valid plan journals as usual, so the check above is not
+    // vacuous.
+    let run = open(&nine_point_plan()).unwrap();
+    assert!(run.journal_path().is_some_and(std::path::Path::is_file));
 }
 
 // ---------------------------------------------------------------------
@@ -564,6 +573,39 @@ fn cli_rejects_misuse_of_resume() {
             "--cache-dir",
             &dir_str,
         ],
+        // So do plans that name a parameter twice (regression: these
+        // passed the name check and journaled an unresumable plan).
+        vec![
+            "sweep",
+            "fig4b",
+            "--pitch",
+            "90,120",
+            "--pitch",
+            "100",
+            "--cache-dir",
+            &dir_str,
+        ],
+        vec![
+            "sweep",
+            "fig4b",
+            "--ecd",
+            "35",
+            "--ecd",
+            "20,55",
+            "--cache-dir",
+            &dir_str,
+        ],
+        vec![
+            "campaign",
+            "--rows",
+            "32",
+            "--pitch",
+            "60,70",
+            "--pitch",
+            "65",
+            "--cache-dir",
+            &dir_str,
+        ],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mramsim"))
             .args(&args)
@@ -573,9 +615,5 @@ fn cli_rejects_misuse_of_resume() {
     }
     // The failed sweeps above must not leave resumable-looking journal
     // debris behind.
-    let runs = dir.0.join("runs");
-    assert!(
-        !runs.exists() || fs::read_dir(&runs).unwrap().next().is_none(),
-        "invalid sweeps must not create journals"
-    );
+    assert!(no_runs(&dir.0), "invalid sweeps must not create journals");
 }

@@ -2,11 +2,13 @@
 //! submitting overlapping sweeps get byte-identical output to a
 //! sequential run with every grid point computed exactly once;
 //! submissions are validated up front; results are fetchable by
-//! content address; and a mid-sweep graceful drain leaves a journal
-//! that resumes to the uninterrupted answer.
+//! content address; a mid-sweep graceful drain leaves a journal that
+//! resumes to the uninterrupted answer; and a panicking job fails its
+//! own grid point while the server stays healthy.
 
 use mramsim_engine::serve::{ServeConfig, Server};
-use mramsim_engine::{Engine, SweepJournal, SweepPlan};
+use mramsim_engine::{Engine, EngineError, ParamSet, ParamSpec, Registry, Run, Scenario};
+use mramsim_engine::{ScenarioOutput, SweepJournal, SweepOptions, SweepPlan};
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -42,6 +44,10 @@ impl Drop for TempDir {
 /// transparently decoded. Returns (status, body).
 fn http(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    // A wedged server must fail the test, not hang it.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
     write!(
         stream,
         "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\
@@ -314,19 +320,24 @@ fn graceful_drain_leaves_a_resumable_journal() {
         "run lock must be released by the drain"
     );
 
-    // A fresh engine over the same cache dir resumes: checkpointed
-    // points come from disk, the rest compute, and the final answer is
-    // byte-identical to an undisturbed sequential run.
+    // A fresh engine over the same cache dir resumes the run by its id:
+    // exactly the journaled points come from disk, the rest compute,
+    // and the final answer is byte-identical to an undisturbed
+    // sequential run.
     let resumed = Engine::standard()
         .with_workers(1)
         .with_disk_cache(&dir.0)
         .unwrap();
-    let plan = SweepPlan::new("wer-mc")
-        .fix("trajectories", 600.0)
-        .axis("pulse_ns", vec![0.8, 1.0, 1.2, 1.4, 1.6, 1.8]);
-    let outcome = resumed.sweep(&plan).unwrap();
+    let run = Run::resume(&resumed, &dir.0, &run_id).unwrap();
+    let journaled = run.journaled();
+    assert!(journaled >= 1, "the drain must leave a checkpoint");
+    let plan = run.plan().clone();
+    let outcome = run.execute(&SweepOptions::default());
     assert_eq!(outcome.errors + outcome.skipped, 0);
-    assert!(outcome.disk_hits >= 1, "checkpointed work must be reused");
+    assert_eq!(
+        outcome.disk_hits, journaled,
+        "every journaled point, and only those, is served from disk"
+    );
     let baseline = Engine::standard()
         .with_workers(1)
         .sweep(&plan)
@@ -334,4 +345,54 @@ fn graceful_drain_leaves_a_resumable_journal() {
         .summary_table()
         .to_csv();
     assert_eq!(outcome.summary_table().to_csv(), baseline);
+}
+
+/// A scenario that panics for `x > 1`.
+struct Fragile;
+
+impl Scenario for Fragile {
+    fn id(&self) -> &'static str {
+        "fragile"
+    }
+    fn summary(&self) -> &'static str {
+        "panics for x > 1"
+    }
+    fn params(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::new("x", "input", 0.0)]
+    }
+    fn run(&self, params: &ParamSet) -> Result<ScenarioOutput, EngineError> {
+        let x = params.number("x")?;
+        assert!(x <= 1.0, "x = {x} is out of range");
+        Ok(ScenarioOutput::default().with_scalar("x", x))
+    }
+}
+
+#[test]
+fn a_panicking_job_leaves_the_server_healthy() {
+    // One worker, one admission slot: a job whose panic leaked its slot
+    // (regression) would 429 every later plan and wedge the drain.
+    let mut registry = Registry::new();
+    registry.register(Arc::new(Fragile));
+    let engine = Arc::new(Engine::new(registry).with_workers(1));
+    let (addr, server) = spawn_server(engine, None, 1);
+
+    let (last, events) = submit_and_stream(addr, r#"{"scenario":"fragile","axes":{"x":[0,2,1]}}"#);
+    assert_eq!(field(&last, "status"), "done", "summary: {last}");
+    assert_eq!(field(&last, "errors"), "1");
+    assert_eq!(events.len(), 3, "every point reports: {events:?}");
+    assert!(field(&last, "csv").contains("panicked: x = 2 is out of range"));
+
+    // The job thread frees its slot just after the summary line; once
+    // it has, the next plan is admitted and completes.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while field(&get(addr, "/healthz").1, "inflight") != "0" {
+        assert!(Instant::now() < deadline, "the admission slot leaked");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let (last, _) = submit_and_stream(addr, r#"{"scenario":"fragile","axes":{"x":[0,1]}}"#);
+    assert_eq!(field(&last, "status"), "done", "summary: {last}");
+
+    let (status, _body) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    server.join().expect("server drains and exits");
 }
