@@ -66,7 +66,8 @@ fn bench_pooled_ensembles(c: &mut Criterion) {
 }
 
 /// The thermal-field-free (deterministic) stepper, isolating the cost
-/// of the Box–Muller draws.
+/// of the thermal-field draws. CI gates the thermal/deterministic ratio
+/// of this group's `min` times.
 fn bench_thermal_vs_deterministic(c: &mut Criterion) {
     let (params, drive) = operating_point();
     let duration = 1e-9;

@@ -18,7 +18,11 @@
 //!   [`mramsim_numerics::Vec3`],
 //! * [`run_ensemble`] — N replicas stepped in 16-lane SoA blocks,
 //!   fanned out on [`mramsim_numerics::pool`], bit-identical to the
-//!   scalar reference [`run_replica`] for identical seeds,
+//!   scalar reference [`run_replica`] for identical seeds; each replica
+//!   draws its thermal field from the ziggurat sampler
+//!   ([`mramsim_numerics::dist::Ziggurat`]) on its own xoshiro256++
+//!   stream ([`llgs::replica_rng`]), whose states a lane block advances
+//!   together,
 //! * [`wer_monte_carlo`] / [`switching_time_distribution`] — the
 //!   Monte-Carlo estimators surfaced by the engine's `wer-mc` and
 //!   `switch-traj` scenarios,
@@ -56,6 +60,7 @@ mod ensemble;
 mod error;
 pub mod llgs;
 mod mc;
+mod stream;
 
 pub use campaign::{cell_seed, wer_campaign, wer_campaign_seeded, CellDrive};
 pub use ensemble::{run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANES};

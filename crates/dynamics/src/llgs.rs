@@ -52,13 +52,13 @@ use crate::DynamicsError;
 use mramsim_array::{NeighborhoodPattern, StrayFieldKernel};
 use mramsim_magnetics::{FieldSource, SourceKind};
 use mramsim_mtj::{MtjDevice, SwitchDirection};
-use mramsim_numerics::dist::{standard_normal, standard_normal_pair, InitialAngle};
-use mramsim_numerics::hash::Fnv1a;
+use mramsim_numerics::dist::{InitialAngle, Ziggurat};
 use mramsim_numerics::Vec3;
 use mramsim_units::constants::{E_CHARGE, K_B, MU_0, MU_B};
 use mramsim_units::{Kelvin, Oersted};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
+
+pub use crate::stream::{replica_rng, ReplicaStream};
 
 /// Electron gyromagnetic ratio `γₑ` \[rad/(s·T)\] (CODATA 2018).
 pub const GYROMAGNETIC_RATIO: f64 = 1.760_859_630_23e11;
@@ -341,13 +341,15 @@ pub fn heun_step(params: &MacrospinParams, m: Vec3, h_noise: Vec3, aj: f64, dt: 
     corrected / corrected.norm()
 }
 
-/// Draws the three thermal-field components for one step (a Box–Muller
-/// pair plus one single draw — four uniforms for three normals). The
-/// draw order is part of the per-replica determinism contract.
+/// Draws the three thermal-field components for one step: three
+/// [`Ziggurat`] normals, x then y then z. The draw order is part of the
+/// per-replica determinism contract.
 #[inline]
 pub fn thermal_field<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Vec3 {
-    let (nx, ny) = standard_normal_pair(rng);
-    let nz = standard_normal(rng);
+    let zig = Ziggurat::get();
+    let nx = zig.sample(rng);
+    let ny = zig.sample(rng);
+    let nz = zig.sample(rng);
     Vec3::new(nx * sigma, ny * sigma, nz * sigma)
 }
 
@@ -363,17 +365,6 @@ pub(crate) fn snapped_steps(duration: f64, dt: f64) -> usize {
         ratio.ceil()
     };
     (snapped as usize).max(1)
-}
-
-/// The deterministic RNG stream of replica `index` under ensemble seed
-/// `seed` — an FNV-1a mix, so streams do not depend on how replicas are
-/// blocked into lanes or dealt to workers.
-#[must_use]
-pub fn replica_rng(seed: u64, index: u64) -> StdRng {
-    let mut h = Fnv1a::new();
-    h.field(&seed.to_le_bytes());
-    h.update(&index.to_le_bytes());
-    StdRng::seed_from_u64(h.finish())
 }
 
 /// Integrates one trajectory and records `(t, m)` every `every` steps

@@ -3,6 +3,7 @@
 //! interrupted-then-resumed sweeps whose output is byte-identical to
 //! an uninterrupted run.
 
+use mramsim_engine::store::SCHEMA_VERSION;
 use mramsim_engine::{Engine, Run, SweepOptions, SweepPlan};
 use std::fs;
 use std::path::PathBuf;
@@ -86,7 +87,7 @@ fn corrupt_disk_entries_fall_back_to_recompute() {
     };
 
     // Vandalise two entries: one truncated, one pure garbage.
-    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join("v1"))
+    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join(format!("v{SCHEMA_VERSION}")))
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "mse"))
@@ -129,7 +130,7 @@ fn corrupt_entries_still_pay_the_job_budget() {
         .unwrap()
         .sweep(&plan)
         .unwrap();
-    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join("v1"))
+    let entries: Vec<PathBuf> = fs::read_dir(dir.0.join(format!("v{SCHEMA_VERSION}")))
         .unwrap()
         .filter_map(|e| e.ok().map(|e| e.path()))
         .collect();

@@ -16,7 +16,8 @@
 //! * [`interp`] — linear interpolation on tabulated curves,
 //! * [`stats`] — descriptive statistics for device populations,
 //! * [`dist`] — Normal / LogNormal sampling built on `rand` (process
-//!   variation, thermal switching stochasticity),
+//!   variation, thermal switching stochasticity) and the ziggurat
+//!   standard normal behind the s-LLGS thermal field,
 //! * [`histogram`] — switching-field histograms,
 //! * [`pool`] — the work-stealing worker pool shared by the array
 //!   sweeps, the batched field maps, and the `mramsim-engine`
