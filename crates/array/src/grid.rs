@@ -254,8 +254,11 @@ impl PatternGrid {
         self.base_state(r, c)
     }
 
-    /// Bit-packs the `(2·radius+1)²` window around `(row, col)`.
-    fn pack_window(&self, row: usize, col: usize, radius: usize) -> Box<[u8]> {
+    /// Bit-packs the `(2·radius+1)²` window around `(row, col)` in the
+    /// [`GridClass::window`] layout, so a cell finds its class by
+    /// window content.
+    #[must_use]
+    pub fn pack_window(&self, row: usize, col: usize, radius: usize) -> Box<[u8]> {
         let side = 2 * radius + 1;
         let mut bytes = vec![0u8; (side * side).div_ceil(8)].into_boxed_slice();
         let mut idx = 0usize;

@@ -1,20 +1,19 @@
 //! Benchmarks of the array write-campaign subsystem: the kernel-to-cell
 //! field adapter (pure cached-pattern arithmetic), the per-cell
 //! Monte-Carlo WER campaign (per-cell-sequential vs block-flattened),
-//! and the `campaign_megabit` group — the sparse class-collapsed
-//! sharded path against the dense per-cell reference at megabit scale.
+//! the `array-wer` fault map (one whole-array shard at kernel radius 1),
+//! and the `campaign_megabit` group — the class-collapsed sharded path
+//! against a dense per-cell reference at megabit scale.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mramsim_array::{cell_field_map, CellArray, DataPattern, PatternGrid, StrayFieldKernel};
 use mramsim_dynamics::{
-    cell_seed, wer_campaign, wer_monte_carlo, CellDrive, EnsemblePlan, MacrospinParams,
+    cell_seed, wer_campaign, wer_monte_carlo, CellDrive, EnsemblePlan, MacrospinParams, WerEstimate,
 };
-use mramsim_faults::{
-    array_wer_campaign, shard_wer_campaign, ArrayWerConfig, ShardPlan, SparseWerConfig,
-};
-use mramsim_mtj::{presets, MtjDevice, SwitchDirection};
+use mramsim_faults::{shard_wer_campaign, ArrayWerConfig, ShardPlan};
+use mramsim_mtj::{presets, MtjDevice, MtjState, SwitchDirection};
 use mramsim_numerics::pool::WorkerPool;
-use mramsim_units::{Kelvin, Nanometer, Nanosecond, Oersted, Volt};
+use mramsim_units::{Kelvin, Nanometer, Nanosecond, Volt};
 use std::time::{Duration, Instant};
 
 fn config() -> Criterion {
@@ -88,20 +87,26 @@ fn bench_campaign_vs_sequential(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full fault-map pipeline the `array-wer` scenario runs.
+/// The full fault-map pipeline the `array-wer` scenario runs: one
+/// whole-array shard at kernel radius 1.
 fn bench_full_array_wer(c: &mut Criterion) {
     let dev = device();
-    let data = CellArray::checkerboard(4, 4).unwrap();
+    let grid = PatternGrid::new(4, 4, DataPattern::Checkerboard).unwrap();
+    let plan = ShardPlan::new(4, 4).unwrap();
     let cfg = ArrayWerConfig {
         voltage: Volt::new(0.9),
         pulse: Nanosecond::new(4.0),
         trajectories: 32,
+        max_radius: 1,
         ..ArrayWerConfig::default()
     };
     let pool = WorkerPool::with_default_parallelism();
     c.bench_function("array_wer_campaign_4x4_32traj", |b| {
         b.iter(|| {
-            black_box(array_wer_campaign(&dev, Nanometer::new(70.0), &data, &cfg, &pool).unwrap())
+            black_box(
+                shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, &plan, 0, &cfg, &pool)
+                    .unwrap(),
+            )
         })
     });
 }
@@ -109,7 +114,7 @@ fn bench_full_array_wer(c: &mut Criterion) {
 /// The shared Monte-Carlo point for the megabit comparison: a short
 /// pulse and a small ensemble keep single iterations benchable while
 /// exercising exactly the production code paths.
-fn megabit_write_point() -> ArrayWerConfig {
+fn megabit_config() -> ArrayWerConfig {
     ArrayWerConfig {
         voltage: Volt::new(0.9),
         pulse: Nanosecond::new(2.0),
@@ -118,12 +123,41 @@ fn megabit_write_point() -> ArrayWerConfig {
     }
 }
 
-fn megabit_sparse_config() -> SparseWerConfig {
-    SparseWerConfig {
-        base: megabit_write_point(),
-        max_radius: 4,
-        field_tol: Oersted::new(25.0),
-    }
+/// The dense per-cell reference: one drive and one ensemble per cell
+/// of `data` under its NP8 stray field, on per-cell seed streams.
+fn dense_campaign(
+    dev: &MtjDevice,
+    pitch: Nanometer,
+    data: &CellArray,
+    cfg: &ArrayWerConfig,
+    pool: &WorkerPool,
+) -> Vec<WerEstimate> {
+    // One calibrated base point and drive per write direction: AP→P
+    // for the AP cells, P→AP for the P cells.
+    let points = [SwitchDirection::ApToP, SwitchDirection::PToAp].map(|direction| {
+        let base = MacrospinParams::from_device(dev, direction, cfg.temperature).unwrap();
+        let initial = direction.initial_state();
+        let current = dev.electrical().current(initial, cfg.voltage, dev.area());
+        CellDrive {
+            params: base,
+            current: current.value(),
+        }
+    });
+    let fields = cell_field_map(dev, pitch, data).unwrap();
+    let drives: Vec<CellDrive> = fields
+        .iter()
+        .map(|f| {
+            let base = &points[usize::from(f.state == MtjState::Parallel)];
+            CellDrive {
+                params: base.params.clone().with_applied_hz(f.hz_oe()),
+                current: base.current,
+            }
+        })
+        .collect();
+    let plan = EnsemblePlan::new(cfg.trajectories, cfg.seed, cfg.dt)
+        .unwrap()
+        .with_thermal(cfg.thermal);
+    wer_campaign(&drives, cfg.pulse.to_second().value(), &plan, pool)
 }
 
 /// VmHWM from /proc — the peak-RSS proxy quoted next to cells/s.
@@ -140,11 +174,17 @@ fn peak_rss_mb() -> Option<u64> {
 fn bench_megabit_dense_reference(c: &mut Criterion) {
     let dev = device();
     let data = CellArray::checkerboard(32, 32).unwrap();
-    let cfg = megabit_write_point();
+    let cfg = megabit_config();
     let pool = WorkerPool::with_default_parallelism();
     c.bench_function("campaign_megabit/dense_reference_32x32", |b| {
         b.iter(|| {
-            black_box(array_wer_campaign(&dev, Nanometer::new(70.0), &data, &cfg, &pool).unwrap())
+            black_box(dense_campaign(
+                &dev,
+                Nanometer::new(70.0),
+                &data,
+                &cfg,
+                &pool,
+            ))
         })
     });
 }
@@ -175,7 +215,7 @@ fn bench_megabit_sparse_shard(c: &mut Criterion) {
     let dev = device();
     let grid = PatternGrid::new(1024, 1024, DataPattern::Checkerboard).unwrap();
     let plan = ShardPlan::new(1024, 64).unwrap();
-    let cfg = megabit_sparse_config();
+    let cfg = megabit_config();
     let pool = WorkerPool::with_default_parallelism();
     c.bench_function("campaign_megabit/sparse_shard_64x1024", |b| {
         b.iter(|| {
@@ -196,14 +236,13 @@ fn report_megabit_speedup(_c: &mut Criterion) {
     let pitch = Nanometer::new(70.0);
 
     let data = CellArray::checkerboard(32, 32).unwrap();
-    let dense_cfg = megabit_write_point();
+    let cfg = megabit_config();
     let t0 = Instant::now();
-    let dense = array_wer_campaign(&dev, pitch, &data, &dense_cfg, &pool).unwrap();
-    let dense_rate = dense.cells.len() as f64 / t0.elapsed().as_secs_f64();
+    let dense = dense_campaign(&dev, pitch, &data, &cfg, &pool);
+    let dense_rate = dense.len() as f64 / t0.elapsed().as_secs_f64();
 
     let grid = PatternGrid::new(1024, 1024, DataPattern::Checkerboard).unwrap();
     let plan = ShardPlan::new(1024, 64).unwrap();
-    let cfg = megabit_sparse_config();
     let t1 = Instant::now();
     let (mut cells, mut classes) = (0usize, 0usize);
     for shard in 0..plan.n_shards() {
@@ -216,7 +255,7 @@ fn report_megabit_speedup(_c: &mut Criterion) {
         "campaign_megabit: dense {dense_rate:.0} cells/s ({} cells), \
          sparse {sparse_rate:.0} cells/s ({cells} cells via {classes} class ensembles, \
          {:.0}x dense), peak RSS {} MB",
-        dense.cells.len(),
+        dense.len(),
         sparse_rate / dense_rate,
         peak_rss_mb().map_or_else(|| "?".to_owned(), |mb| mb.to_string()),
     );

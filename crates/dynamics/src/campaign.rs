@@ -188,17 +188,13 @@ pub fn wer_campaign_seeded(
             (cells.len() * plan.trajectories) as u64,
         );
     }
-    let estimates: Vec<WerEstimate> = trajectories
+    // Estimator health is the caller's to report: only it knows what
+    // an entry stands for (a cell, or a window class and its members).
+    trajectories
         .into_iter()
         .zip(failures)
         .map(|(n, failed)| WerEstimate::from_counts(n, failed))
-        .collect();
-    if telemetry::enabled() {
-        for (cell, estimate) in estimates.iter().enumerate() {
-            estimate.emit_health("cell_wer", &[("cell", telemetry::Value::U64(cell as u64))]);
-        }
-    }
-    estimates
+        .collect()
 }
 
 #[cfg(test)]

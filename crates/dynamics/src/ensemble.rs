@@ -49,17 +49,27 @@ pub struct EnsemblePlan {
 }
 
 impl EnsemblePlan {
+    /// The largest ensemble a plan accepts (2^20 replicas). Campaigns
+    /// size per-block bookkeeping by the replica count, so an unbounded
+    /// request would abort the process on allocation instead of
+    /// failing as a parameter error.
+    pub const MAX_TRAJECTORIES: usize = 1 << 20;
+
     /// A plan with thermal noise enabled.
     ///
     /// # Errors
     ///
-    /// [`DynamicsError::InvalidParameter`] for zero trajectories or a
+    /// [`DynamicsError::InvalidParameter`] for zero or more than
+    /// [`Self::MAX_TRAJECTORIES`] trajectories, or a
     /// non-positive/non-finite `dt`.
     pub fn new(trajectories: usize, seed: u64, dt: f64) -> Result<Self, DynamicsError> {
-        if trajectories == 0 {
+        if trajectories == 0 || trajectories > Self::MAX_TRAJECTORIES {
             return Err(DynamicsError::InvalidParameter {
                 name: "trajectories",
-                message: "need at least one replica".into(),
+                message: format!(
+                    "need 1..={} replicas, got {trajectories}",
+                    Self::MAX_TRAJECTORIES
+                ),
             });
         }
         if !(dt > 0.0) || !dt.is_finite() {
@@ -344,5 +354,19 @@ mod tests {
         let plan = EnsemblePlan::new(8, 1, 1e-12).unwrap();
         assert_eq!(plan.steps_for(1e-9), 1000);
         assert_eq!(plan.steps_for(1e-13), 1);
+    }
+
+    #[test]
+    fn plan_caps_the_replica_count() {
+        let max = EnsemblePlan::MAX_TRAJECTORIES;
+        assert_eq!(max, 1 << 20);
+        assert_eq!(EnsemblePlan::new(max, 1, 1e-12).unwrap().trajectories, max);
+        assert!(matches!(
+            EnsemblePlan::new(max + 1, 1, 1e-12),
+            Err(DynamicsError::InvalidParameter {
+                name: "trajectories",
+                ..
+            })
+        ));
     }
 }

@@ -29,7 +29,9 @@
 //! * [`wer_campaign`] — one WER ensemble per array cell (each under its
 //!   own stray field and drive), flattened into lane-block work items
 //!   with deterministic per-cell FNV seed streams and streaming
-//!   per-block aggregation — the substrate of the `array-wer` scenario.
+//!   per-block aggregation; [`wer_campaign_seeded`] takes the seeds
+//!   from the caller — the substrate of the window-class campaigns
+//!   behind `array-wer` and `array-wer-shard`.
 //!
 //! # Example: Monte-Carlo WER vs the analytic model
 //!

@@ -4,8 +4,10 @@
 //! Ten paper figures, the extension WER study, the design-space
 //! explorer, the coupling-aware fault simulator, the s-LLGS
 //! Monte-Carlo dynamics (`wer-mc`, `switch-traj`), and the array-scale
-//! Monte-Carlo write campaigns — dense (`array-wer`) and sparse sharded
-//! (`array-wer-shard`) — are registered under stable ids.
+//! Monte-Carlo write campaigns — the per-cell fault map (`array-wer`, one
+//! whole-array shard at kernel radius 1) and the sharded megabit grid
+//! (`array-wer-shard`), both one ensemble per window class — are
+//! registered under stable ids.
 //! [`Registry::standard`] builds the full set.
 
 use crate::{EngineError, ParamSet, ParamSpec, Scenario, ScenarioOutput};
@@ -21,15 +23,16 @@ use mramsim_dynamics::{
 };
 use mramsim_faults::march::MarchTest;
 use mramsim_faults::{
-    array_wer_campaign, classify_write_faults, shard_wer_campaign, ArraySimulator, ArrayWerConfig,
-    ShardPlan, SparseWerConfig, WriteConditions,
+    classify_write_faults, shard_wer_campaign, ArraySimulator, ArrayWerConfig, ShardPlan,
+    SparseClassWer, WriteConditions,
 };
 use mramsim_mtj::wer::write_error_rate_saturating;
 use mramsim_mtj::{presets, MtjDevice, SwitchDirection};
+use mramsim_numerics::hash::fnv1a;
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_units::constants::{EULER_GAMMA, OERSTED_PER_AMPERE_PER_METER};
 use mramsim_units::{Kelvin, Nanometer, Nanosecond, Oersted, Volt};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Wraps a model error into [`EngineError::Scenario`].
@@ -1101,6 +1104,74 @@ impl Scenario for SwitchTrajScenario {
     }
 }
 
+/// The write conditions and Monte-Carlo budget shared by both campaign
+/// scenarios; `trajectories_doc` says what one ensemble stands for.
+fn campaign_specs(trajectories_doc: &'static str) -> [ParamSpec; 8] {
+    [
+        ParamSpec::new("voltage_v", "write pulse amplitude (V)", 0.9),
+        ParamSpec::new("pulse_ns", "write pulse width (ns)", 8.0),
+        ParamSpec::new("temperature_k", "temperature (K)", 300.0),
+        ParamSpec::new("trajectories", trajectories_doc, 64.0),
+        ParamSpec::new("seed", "campaign base seed", 7.0),
+        ParamSpec::new("dt_ps", "integrator time step (ps)", 2.0),
+        ParamSpec::new(
+            "thermal",
+            "1: thermal fluctuation field active during the pulse",
+            1.0,
+        ),
+        ParamSpec::new("wer_budget", "per-cell WER fault threshold", 0.01),
+    ]
+}
+
+/// Reads [`campaign_specs`] into a campaign config at the default
+/// kernel accuracy knobs.
+fn campaign_config(params: &ParamSet) -> Result<ArrayWerConfig, EngineError> {
+    Ok(ArrayWerConfig {
+        voltage: Volt::new(params.number("voltage_v")?),
+        pulse: Nanosecond::new(params.number("pulse_ns")?),
+        temperature: Kelvin::new(params.number("temperature_k")?),
+        trajectories: params.count("trajectories")?,
+        seed: seed_of(params, "seed")?,
+        dt: params.number("dt_ps")? * 1e-12,
+        thermal: params.count("thermal")? != 0,
+        wer_budget: params.number("wer_budget")?,
+        ..ArrayWerConfig::default()
+    })
+}
+
+/// The per-class columns both campaign tables render, after their
+/// address columns.
+const CLASS_COLUMNS: [&str; 10] = [
+    "stored",
+    "direction",
+    "np",
+    "hz_oe",
+    "drive_ua",
+    "ic_ua",
+    "failures",
+    "wer_mc",
+    "wer_analytic",
+    "faulty",
+];
+
+/// One table row: `address` cells, then [`CLASS_COLUMNS`] of `class`.
+fn class_row(address: &[String], class: &SparseClassWer) -> Vec<String> {
+    let mut row = address.to_vec();
+    row.extend([
+        class.stored.to_string(),
+        class.direction.to_string(),
+        class.np.bits().to_string(),
+        format!("{:.2}", class.hz_stray.value()),
+        format!("{:.2}", class.drive_ua),
+        format!("{:.2}", class.ic_ua),
+        class.mc.failures.to_string(),
+        format!("{:.6}", class.mc.wer),
+        format!("{:.6}", class.analytic),
+        u8::from(class.faulty).to_string(),
+    ]);
+    row
+}
+
 /// Array-scale Monte-Carlo write campaign: per-cell WER fault maps.
 struct ArrayWerScenario;
 
@@ -1128,19 +1199,8 @@ impl Scenario for ArrayWerScenario {
                 "array data: zeros | ones | checkerboard",
                 "checkerboard",
             ),
-            ParamSpec::new("voltage_v", "write pulse amplitude (V)", 0.9),
-            ParamSpec::new("pulse_ns", "write pulse width (ns)", 8.0),
-            ParamSpec::new("temperature_k", "temperature (K)", 300.0),
-            ParamSpec::new("trajectories", "Monte-Carlo replicas per cell", 64.0),
-            ParamSpec::new("seed", "campaign base seed", 7.0),
-            ParamSpec::new("dt_ps", "integrator time step (ps)", 2.0),
-            ParamSpec::new(
-                "thermal",
-                "1: thermal fluctuation field active during the pulse",
-                1.0,
-            ),
-            ParamSpec::new("wer_budget", "per-cell WER fault threshold", 0.01),
         ];
+        specs.extend(campaign_specs("Monte-Carlo replicas per cell"));
         specs.extend(field_model_specs());
         specs
     }
@@ -1153,24 +1213,22 @@ impl Scenario for ArrayWerScenario {
         let pitch = Nanometer::new(params.number("pitch")?);
         let rows = params.count("rows")?;
         let cols = params.count("cols")?;
-        let data = DataPattern::parse(params.text("pattern")?)
-            .and_then(|p| p.build(rows, cols))
+        let grid = DataPattern::parse(params.text("pattern")?)
+            .and_then(|pattern| PatternGrid::new(rows, cols, pattern))
             .map_err(|e| model_err("array-wer", e))?;
+        let plan = ShardPlan::new(rows, rows).map_err(|e| model_err("array-wer", e))?;
+        // One whole-array shard at the paper's 3×3 model: at radius 1
+        // the hierarchical kernel is bit-identical to the dense NP8
+        // field map, and cells sharing a window share one ensemble.
         let config = ArrayWerConfig {
-            voltage: Volt::new(params.number("voltage_v")?),
-            pulse: Nanosecond::new(params.number("pulse_ns")?),
-            temperature: Kelvin::new(params.number("temperature_k")?),
-            trajectories: params.count("trajectories")?,
-            seed: seed_of(params, "seed")?,
-            dt: params.number("dt_ps")? * 1e-12,
-            thermal: params.count("thermal")? != 0,
-            wer_budget: params.number("wer_budget")?,
+            max_radius: 1,
+            ..campaign_config(params)?
         };
         let pool = WorkerPool::new(crate::scenario_workers());
-        let report = array_wer_campaign(&device, pitch, &data, &config, &pool)
+        let report = shard_wer_campaign(&device, pitch, &grid, &plan, 0, &config, &pool)
             .map_err(|e| model_err("array-wer", e))?;
 
-        let worst_analytic = report.cells.iter().map(|c| c.analytic).fold(0.0, f64::max);
+        let worst_analytic = report.worst_analytic();
         let mut summary = Table::new("array-wer: campaign summary", &["quantity", "value"]);
         summary.push_row(&["array", &format!("{rows}x{cols}")]);
         summary.push_row(&["pattern", params.text("pattern")?]);
@@ -1180,57 +1238,45 @@ impl Scenario for ArrayWerScenario {
             &format!("{:.2}", report.density_bits_per_um2),
         ]);
         summary.push_row(&["trajectories/cell", &config.trajectories.to_string()]);
+        summary.push_row(&["window classes", &report.classes.len().to_string()]);
         summary.push_row(&["WER budget", &format!("{:.1e}", report.wer_budget)]);
         summary.push_row(&["faulty cells", &report.faulty_cells().to_string()]);
         summary.push_row(&["worst cell WER (MC)", &format!("{:.5}", report.worst_wer())]);
         summary.push_row(&["mean cell WER (MC)", &format!("{:.5}", report.mean_wer())]);
         summary.push_row(&["worst cell WER (analytic)", &format!("{worst_analytic:.5}")]);
-        summary.push_row(&["faulty classes", &report.faults().len().to_string()]);
+        summary.push_row(&["faulty classes", &report.faulty_classes().to_string()]);
 
+        // Each cell renders its window class's row, found by content.
+        let by_window: HashMap<u64, &SparseClassWer> = report
+            .classes
+            .iter()
+            .map(|class| (class.window_key, class))
+            .collect();
         let mut map = Table::new(
             "array-wer: per-cell fault map",
-            &[
-                "row",
-                "col",
-                "stored",
-                "direction",
-                "np",
-                "hz_oe",
-                "drive_ua",
-                "ic_ua",
-                "failures",
-                "wer_mc",
-                "wer_analytic",
-                "faulty",
-            ],
+            &[&["row", "col"][..], &CLASS_COLUMNS].concat(),
         );
-        for cell in &report.cells {
-            map.push_row(&[
-                cell.row.to_string(),
-                cell.col.to_string(),
-                cell.stored.to_string(),
-                cell.direction.to_string(),
-                cell.np.bits().to_string(),
-                format!("{:.2}", cell.hz_stray.value()),
-                format!("{:.2}", cell.drive_ua),
-                format!("{:.2}", cell.ic_ua),
-                cell.mc.failures.to_string(),
-                format!("{:.6}", cell.mc.wer),
-                format!("{:.6}", cell.analytic),
-                u8::from(cell.faulty).to_string(),
-            ]);
+        let mut chart = String::with_capacity((cols + 1) * rows);
+        for row in 0..rows {
+            for col in 0..cols {
+                let class = by_window[&fnv1a(&grid.pack_window(row, col, report.radius))];
+                map.push_row(&class_row(&[row.to_string(), col.to_string()], class));
+                chart.push(if class.faulty { '#' } else { '.' });
+            }
+            chart.push('\n');
         }
 
         Ok(ScenarioOutput::from_table(summary)
             .with_table(map)
-            .with_chart(report.fault_map())
-            .with_scalar("cells", report.cells.len() as f64)
+            .with_chart(chart)
+            .with_scalar("cells", report.cells() as f64)
+            .with_scalar("classes", report.classes.len() as f64)
             .with_scalar("faulty_cells", report.faulty_cells() as f64)
             .with_scalar("worst_wer_mc", report.worst_wer())
             .with_scalar("mean_wer_mc", report.mean_wer())
             .with_scalar("worst_wer_analytic", worst_analytic)
             .with_scalar("density_bits_per_um2", report.density_bits_per_um2)
-            .with_scalar("faulty_classes", report.faults().len() as f64))
+            .with_scalar("faulty_classes", report.faulty_classes() as f64))
     }
 }
 
@@ -1279,19 +1325,8 @@ impl Scenario for ArrayWerShardScenario {
                 "requested dipole-tail truncation accuracy (Oe)",
                 25.0,
             ),
-            ParamSpec::new("voltage_v", "write pulse amplitude (V)", 0.9),
-            ParamSpec::new("pulse_ns", "write pulse width (ns)", 8.0),
-            ParamSpec::new("temperature_k", "temperature (K)", 300.0),
-            ParamSpec::new("trajectories", "Monte-Carlo replicas per class", 64.0),
-            ParamSpec::new("seed", "campaign base seed", 7.0),
-            ParamSpec::new("dt_ps", "integrator time step (ps)", 2.0),
-            ParamSpec::new(
-                "thermal",
-                "1: thermal fluctuation field active during the pulse",
-                1.0,
-            ),
-            ParamSpec::new("wer_budget", "per-cell WER fault threshold", 0.01),
         ];
+        specs.extend(campaign_specs("Monte-Carlo replicas per class"));
         specs.extend(field_model_specs());
         specs
     }
@@ -1314,29 +1349,16 @@ impl Scenario for ArrayWerShardScenario {
         let plan = ShardPlan::new(rows, params.count("shard_rows")?)
             .map_err(|e| model_err("array-wer-shard", e))?;
         let shard = params.count("shard")?;
-        let config = SparseWerConfig {
-            base: ArrayWerConfig {
-                voltage: Volt::new(params.number("voltage_v")?),
-                pulse: Nanosecond::new(params.number("pulse_ns")?),
-                temperature: Kelvin::new(params.number("temperature_k")?),
-                trajectories: params.count("trajectories")?,
-                seed: seed_of(params, "seed")?,
-                dt: params.number("dt_ps")? * 1e-12,
-                thermal: params.count("thermal")? != 0,
-                wer_budget: params.number("wer_budget")?,
-            },
+        let config = ArrayWerConfig {
             max_radius: params.count("max_radius")?,
             field_tol: Oersted::new(params.number("field_tol")?),
+            ..campaign_config(params)?
         };
         let pool = WorkerPool::new(crate::scenario_workers());
         let report = shard_wer_campaign(&device, pitch, &grid, &plan, shard, &config, &pool)
             .map_err(|e| model_err("array-wer-shard", e))?;
 
-        let worst_analytic = report
-            .classes
-            .iter()
-            .map(|c| c.analytic)
-            .fold(0.0, f64::max);
+        let worst_analytic = report.worst_analytic();
         let mut summary = Table::new("array-wer-shard: shard summary", &["quantity", "value"]);
         summary.push_row(&["grid", &format!("{rows}x{cols}")]);
         summary.push_row(&[
@@ -1378,39 +1400,21 @@ impl Scenario for ArrayWerShardScenario {
         let mut classes = Table::new(
             "array-wer-shard: window classes",
             &[
-                "window_key",
-                "rep_row",
-                "rep_col",
-                "count",
-                "stored",
-                "direction",
-                "np",
-                "hz_oe",
-                "drive_ua",
-                "ic_ua",
-                "failures",
-                "wer_mc",
-                "wer_analytic",
-                "faulty",
-            ],
+                &["window_key", "rep_row", "rep_col", "count"][..],
+                &CLASS_COLUMNS,
+            ]
+            .concat(),
         );
         for class in &report.classes {
-            classes.push_row(&[
-                format!("{:016x}", class.window_key),
-                class.representative.0.to_string(),
-                class.representative.1.to_string(),
-                class.count.to_string(),
-                class.stored.to_string(),
-                class.direction.to_string(),
-                class.np.bits().to_string(),
-                format!("{:.2}", class.hz_stray.value()),
-                format!("{:.2}", class.drive_ua),
-                format!("{:.2}", class.ic_ua),
-                class.mc.failures.to_string(),
-                format!("{:.6}", class.mc.wer),
-                format!("{:.6}", class.analytic),
-                u8::from(class.faulty).to_string(),
-            ]);
+            classes.push_row(&class_row(
+                &[
+                    format!("{:016x}", class.window_key),
+                    class.representative.0.to_string(),
+                    class.representative.1.to_string(),
+                    class.count.to_string(),
+                ],
+                class,
+            ));
         }
 
         Ok(ScenarioOutput::from_table(summary)

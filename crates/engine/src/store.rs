@@ -3,7 +3,7 @@
 //!
 //! Every entry is one file named by the canonical hex form of the
 //! 64-bit FNV-1a content address (`ResultCache::key`), inside a
-//! schema-versioned subdirectory (`v2/`), so a serialization change —
+//! schema-versioned subdirectory (`v3/`), so a serialization change —
 //! or a change to what a cached result means — bumps
 //! [`SCHEMA_VERSION`] and old entries are simply never looked at again
 //! — no migration, no mixed reads.
@@ -33,13 +33,17 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version tag of the on-disk entry format. Part of both the directory
-/// layout (`v2/`) and every entry header; bump it whenever the
+/// layout (`v3/`) and every entry header; bump it whenever the
 /// serialization or the meaning of cached results changes.
 ///
 /// Version 2: the s-LLGS thermal field draws its normals from the
 /// ziggurat sampler instead of Box–Muller, so every Monte-Carlo result
 /// (`wer-mc`, `switch-traj`, `array-wer`, `array-wer-shard`) changed.
-pub const SCHEMA_VERSION: u32 = 2;
+///
+/// Version 3: `array-wer` runs one ensemble per window class on
+/// `class_seed` streams instead of one per cell on `cell_seed` streams,
+/// so its Monte-Carlo columns changed under unchanged cache keys.
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Counters of a [`DiskStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,7 +100,7 @@ pub struct DiskStore {
 
 impl DiskStore {
     /// Opens (creating if needed) a store rooted at `dir`; entries live
-    /// in the schema-versioned subdirectory `dir/v2/`
+    /// in the schema-versioned subdirectory `dir/v3/`
     /// (`v{SCHEMA_VERSION}`).
     ///
     /// # Errors

@@ -4,8 +4,15 @@
 //! fail the one plan check with their typed errors; and a panicking
 //! scenario fails its own grid point, not the sweep.
 
+use mramsim_array::{cell_field_map, DataPattern, PatternGrid};
+use mramsim_dynamics::EnsemblePlan;
 use mramsim_engine::{Engine, EngineError, ParamSet, ParamSpec, Registry, Scenario};
 use mramsim_engine::{ScenarioOutput, SweepPlan, Tier};
+use mramsim_mtj::wer::write_error_rate_saturating;
+use mramsim_mtj::{presets, MtjState, SwitchDirection};
+use mramsim_numerics::hash::fnv1a;
+use mramsim_units::{Kelvin, Nanometer, Nanosecond, Volt};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 #[test]
@@ -181,6 +188,130 @@ fn array_wer_checkerboard_sweeps_two_densities_worker_invariantly() {
     let out = narrow.jobs[0].result.as_ref().unwrap();
     assert_eq!(out.tables[1].row_count(), 64);
     assert!(out.chart.as_deref().unwrap().lines().count() == 8);
+}
+
+/// The rows of `out`'s table `title`, each as column name → cell.
+fn table_rows<'a>(out: &'a ScenarioOutput, title: &str) -> Vec<BTreeMap<&'a str, &'a str>> {
+    let table = out
+        .tables
+        .iter()
+        .find(|t| t.title() == title)
+        .unwrap_or_else(|| panic!("no table `{title}`"));
+    table
+        .rows()
+        .iter()
+        .map(|row| {
+            table
+                .columns()
+                .iter()
+                .map(String::as_str)
+                .zip(row.iter().map(String::as_str))
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn array_wer_deterministic_columns_match_the_dense_field_map() {
+    // The benchmark's array-wer check at test scale: `hz_oe` and
+    // `wer_analytic` of every cell equal `cell_field_map` plus the
+    // saturating analytic WER, rendered as the fault map renders them.
+    let device = presets::imec_like(Nanometer::new(35.0)).unwrap();
+    let data = DataPattern::Checkerboard.build(8, 8).unwrap();
+    for pitch in [55.0, 60.0, 70.0, 90.0, 120.0] {
+        let params = ParamSet::new().with("pitch", pitch).with("voltage_v", 1.2);
+        let params = params.with("pulse_ns", 2.0).with("trajectories", 24.0);
+        let out = Engine::standard().run("array-wer", &params).unwrap().output;
+        let cells = table_rows(&out, "array-wer: per-cell fault map");
+        let fields = cell_field_map(&device, Nanometer::new(pitch), &data).unwrap();
+        assert_eq!(cells.len(), fields.len());
+        for (cell, field) in cells.iter().zip(&fields) {
+            let direction = match field.state {
+                MtjState::AntiParallel => SwitchDirection::ApToP,
+                MtjState::Parallel => SwitchDirection::PToAp,
+            };
+            let (hz, volts, kelvin) = (field.hz_oe(), Volt::new(1.2), Kelvin::new(300.0));
+            let analytic = write_error_rate_saturating(
+                &device,
+                direction,
+                volts,
+                hz,
+                kelvin,
+                Nanosecond::new(2.0),
+            )
+            .unwrap();
+            let expected = [
+                ("row", field.row.to_string()),
+                ("col", field.col.to_string()),
+                ("hz_oe", format!("{:.2}", hz.value())),
+                ("wer_analytic", format!("{analytic:.6}")),
+            ];
+            for (column, value) in expected {
+                assert_eq!(cell[column], value, "pitch {pitch}, {column} of {cell:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn array_wer_classes_equal_the_shard_scenarios_radius_one_classes() {
+    // `array-wer` is a whole-array shard at radius 1, and class
+    // estimates depend on window content only: every cell of an 8x8
+    // map must render exactly the row its window gets in a 64x64
+    // `array-wer-shard` campaign at `--max_radius 1`.
+    let engine = Engine::standard();
+    let run = |id, n: f64, extra: ParamSet| {
+        let params = extra.with("rows", n).with("cols", n).with("seed", 3.0);
+        let params = params.with("trajectories", 16.0).with("pulse_ns", 4.0);
+        engine.run(id, &params).unwrap().output
+    };
+    let map = run("array-wer", 8.0, ParamSet::new());
+    let radius_one = ParamSet::new()
+        .with("shard_rows", 64.0)
+        .with("max_radius", 1.0);
+    let shard = run("array-wer-shard", 64.0, radius_one);
+    let classes: BTreeMap<&str, BTreeMap<&str, &str>> =
+        table_rows(&shard, "array-wer-shard: window classes")
+            .into_iter()
+            .map(|class| (class["window_key"], class))
+            .collect();
+    let grid = PatternGrid::new(8, 8, DataPattern::Checkerboard).unwrap();
+    let mut windows = std::collections::BTreeSet::new();
+    for cell in table_rows(&map, "array-wer: per-cell fault map") {
+        let (row, col) = (cell["row"].parse().unwrap(), cell["col"].parse().unwrap());
+        let key = format!("{:016x}", fnv1a(&grid.pack_window(row, col, 1)));
+        for (column, value) in cell.iter().filter(|(c, _)| !["row", "col"].contains(c)) {
+            assert_eq!(
+                *value,
+                classes[key.as_str()][column],
+                "({row}, {col}) {column}"
+            );
+        }
+        windows.insert(key);
+    }
+    assert_eq!(map.scalar("classes"), Some(windows.len() as f64));
+    assert_eq!(windows.len(), 14, "an 8x8 checkerboard has 14 windows");
+}
+
+#[test]
+fn oversized_ensembles_fail_as_parameter_errors() {
+    // One request must not be able to abort the process on an
+    // allocation: past the plan's cap the run fails with the dynamics
+    // crate's typed parameter error.
+    let too_many = (EnsemblePlan::MAX_TRAJECTORIES + 1) as f64;
+    for id in ["wer-mc", "array-wer"] {
+        let params = ParamSet::new().with("trajectories", too_many);
+        match Engine::standard().run(id, &params) {
+            Err(EngineError::Scenario { scenario, message }) => {
+                assert_eq!(scenario, id);
+                assert!(
+                    message.contains("invalid parameter trajectories"),
+                    "{id}: {message}"
+                );
+            }
+            other => panic!("{id}: expected a scenario error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -40,6 +40,19 @@ fn array_wer_plan() -> SweepPlan {
         .axis("seed", vec![1.0, 2.0, 3.0, 4.0])
 }
 
+/// The window-class ensembles a sweep ran: the sum of its jobs'
+/// `classes` scalars.
+fn total_classes(outcome: &mramsim_engine::SweepOutcome) -> u64 {
+    outcome
+        .jobs
+        .iter()
+        .map(|job| {
+            let out = job.result.as_ref().expect("job succeeded");
+            out.scalar("classes").expect("classes scalar") as u64
+        })
+        .sum()
+}
+
 #[test]
 fn jsonl_log_of_a_real_array_wer_sweep_round_trips() {
     let _serial = install_lock();
@@ -103,11 +116,13 @@ fn jsonl_log_of_a_real_array_wer_sweep_round_trips() {
         outcome.duration
     );
 
-    // The snapshot agrees with the event stream: one WER estimate per
-    // array cell (4×4) per job, 16 trajectories behind each.
-    let cells = 16 * plan.len() as u64;
-    assert_eq!(metrics_snapshot.counter("llgs.wer_estimates"), cells);
-    assert_eq!(metrics_snapshot.counter("llgs.trajectories"), 16 * cells);
+    // The snapshot agrees with the outputs: one WER estimate per window
+    // class of each job (the jobs' `classes` scalars), 16 trajectories
+    // behind each.
+    let classes = total_classes(&outcome);
+    assert!(classes < 16 * plan.len() as u64, "cells share ensembles");
+    assert_eq!(metrics_snapshot.counter("llgs.wer_estimates"), classes);
+    assert_eq!(metrics_snapshot.counter("llgs.trajectories"), 16 * classes);
     assert!(metrics_snapshot.counter("llgs.steps") > 0);
     assert_eq!(
         metrics_snapshot.counter("cache.memory_misses"),
@@ -157,34 +172,38 @@ fn span_tree_of_a_real_sweep_nests_every_job_under_the_root() {
         assert!(job.lane > 0, "job spans carry their worker lane");
     }
 
-    // Each fresh compute nests under a job; the Monte-Carlo layers
-    // below (campaign → ensembles) are present and parented.
+    // Each fresh compute nests under a job, and the Monte-Carlo layers
+    // below it (whole-array shard → campaign) are present and parented.
     let parent_name = |id: u64| {
         tree.by_id(id)
             .map(|s| s.name.as_str())
             .unwrap_or("<missing>")
     };
-    let compute: Vec<_> = tree.spans.iter().filter(|s| s.name == "compute").collect();
-    assert_eq!(compute.len(), plan.len(), "all points computed fresh");
-    for span in &compute {
-        assert_eq!(parent_name(span.parent), "job");
+    for (name, parent) in [
+        ("compute", "job"),
+        ("campaign.shard", "compute"),
+        ("wer.campaign", "campaign.shard"),
+    ] {
+        let spans: Vec<_> = tree.spans.iter().filter(|s| s.name == name).collect();
+        assert_eq!(spans.len(), plan.len(), "one {name} span per job");
+        for span in spans {
+            assert_eq!(parent_name(span.parent), parent, "{name} span");
+        }
     }
-    let campaigns: Vec<_> = tree
-        .spans
-        .iter()
-        .filter(|s| s.name == "wer.campaign")
-        .collect();
-    assert_eq!(campaigns.len(), plan.len(), "one campaign span per job");
-    for span in &campaigns {
-        assert_eq!(parent_name(span.parent), "compute");
-    }
-    // Estimator health rides along: one Wilson-interval event per cell.
-    let health = log
-        .events
-        .iter()
-        .filter(|e| e.name == "ensemble.health" && e.text("estimator") == Some("cell_wer"))
-        .count();
-    assert_eq!(health, 16 * plan.len(), "one health event per array cell");
+    // Estimator health rides along: one Wilson-interval event per
+    // window class, and none per position.
+    let health = |estimator: &str| {
+        log.events
+            .iter()
+            .filter(|e| e.name == "ensemble.health" && e.text("estimator") == Some(estimator))
+            .count() as u64
+    };
+    assert_eq!(
+        health("class_wer"),
+        total_classes(&outcome),
+        "one health event per window class"
+    );
+    assert_eq!(health("cell_wer"), 0, "no positional duplicates");
 
     // The Chrome export of this real log is valid JSON with one
     // complete event per span.

@@ -12,9 +12,10 @@
 //!   pattern-dependent switching time exceeds the pulse, Fig. 5 logic),
 //! * [`classify_write_faults`] — per-transition classification of which
 //!   neighbourhood patterns break a write at a given design point,
-//! * [`mc`] — the Monte-Carlo write campaign: per-cell s-LLGS WER
-//!   ensembles under the pattern's stray fields, aggregated into fault
-//!   maps and per-class reports alongside the analytic path,
+//! * [`sharded`] — the Monte-Carlo write campaign: one s-LLGS WER
+//!   ensemble per stored-state window class of a (sharded) grid, under
+//!   that window's stray field, next to the analytic path; a
+//!   whole-array shard at kernel radius 1 is the per-cell fault map,
 //! * [`march`] — a March test engine (MATS+, March C−) that detects the
 //!   resulting pattern-sensitive faults.
 //!
@@ -48,15 +49,13 @@
 mod classify;
 mod error;
 pub mod march;
-pub mod mc;
 pub mod sharded;
 mod simulator;
 
 pub use classify::{classify_write_faults, WriteFault, WriteFaultReport};
 pub use error::FaultsError;
-pub use mc::{array_wer_campaign, ArrayWerConfig, ArrayWerReport, CellWer, ClassWer};
 pub use mramsim_array::CellArray;
 pub use sharded::{
-    class_seed, shard_wer_campaign, ShardPlan, ShardWerReport, SparseClassWer, SparseWerConfig,
+    class_seed, shard_wer_campaign, ArrayWerConfig, ShardPlan, ShardWerReport, SparseClassWer,
 };
 pub use simulator::{ArraySimulator, OpResult, WriteConditions};

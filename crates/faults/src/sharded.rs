@@ -1,17 +1,21 @@
-//! Sparse, sharded megabit write campaigns.
+//! Monte-Carlo write campaigns over window equivalence classes: the
+//! time-domain counterpart of [`crate::classify_write_faults`].
 //!
-//! The dense [`crate::array_wer_campaign`] materialises one
-//! [`CellDrive`] and one Monte-Carlo ensemble *per cell* — fine at 64
-//! cells, hopeless at a megabit. This module exploits two structural
-//! facts of large patterned arrays:
+//! The analytic classifier asks "does Sun's switching time fit the
+//! pulse?" per neighbourhood class. A campaign instead *simulates* the
+//! complement write of every cell under the stray field of its actual
+//! data window, with s-LLGS trajectory ensembles next to the analytic
+//! Butler WER. Two structural facts keep that cheap at any size:
 //!
 //! 1. **Equivalence classes.** A cell's WER is a pure function of its
 //!    stored-state window (stray field) and its ensemble seed. Seeding
 //!    each class from its *window content* ([`class_seed`]) makes the
-//!    estimate a pure function of the environment too, so the million
-//!    interior cells of a checkerboard collapse into a handful of
-//!    ensembles — `O(radius² + defects)` work, with defect sites and
-//!    edge bands explicit.
+//!    estimate a pure function of the environment too, so an array
+//!    holds only a few write problems (an 8×8 checkerboard has 14
+//!    distinct 3×3 windows) and a megabit checkerboard's million
+//!    interior cells collapse into a handful of ensembles —
+//!    `O(radius² + defects)` work, with defect sites and edge bands
+//!    explicit.
 //! 2. **Row sharding.** [`ShardPlan`] slices the grid into fixed-height
 //!    row bands evaluated independently; a shard's peak memory is its
 //!    class list, never the grid. Shards are embarrassingly parallel
@@ -22,21 +26,122 @@
 //! The stray field comes from the ring-truncated
 //! [`HierarchicalKernel`], grown to the caller's `field_tol` accuracy
 //! (up to `max_radius`); the report carries the radius actually used
-//! and the a-priori tail bound so truncation is never silent.
+//! and the a-priori tail bound so truncation is never silent. At
+//! `max_radius = 1` the kernel is bit-identical to the dense NP8 path
+//! ([`mramsim_array::cell_field_map`]), so a whole-array shard at that
+//! radius is the paper's 3×3 per-cell fault map.
 
-use crate::mc::{direction_point, validate_config, write_direction};
-use crate::{ArrayWerConfig, FaultsError};
+use crate::FaultsError;
 use mramsim_array::{
     array_density_bits_per_um2, HierarchicalKernel, NeighborhoodPattern, PatternGrid,
 };
-use mramsim_dynamics::{wer_campaign_seeded, CellDrive, EnsemblePlan, WerEstimate};
+use mramsim_dynamics::{
+    wer_campaign_seeded, CellDrive, EnsemblePlan, MacrospinParams, WerEstimate,
+};
 use mramsim_mtj::wer::write_error_rate_saturating;
 use mramsim_mtj::{MtjDevice, MtjState, SwitchDirection};
 use mramsim_numerics::hash::{fnv1a, Fnv1a};
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_telemetry as telemetry;
 use mramsim_units::constants::OERSTED_PER_AMPERE_PER_METER;
-use mramsim_units::{Nanometer, Oersted};
+use mramsim_units::{Kelvin, Nanometer, Nanosecond, Oersted, Volt};
+use std::collections::BTreeSet;
+
+/// Write conditions, Monte-Carlo budget and stray-field accuracy of one
+/// campaign.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ArrayWerConfig {
+    /// Write pulse amplitude.
+    pub voltage: Volt,
+    /// Write pulse width.
+    pub pulse: Nanosecond,
+    /// Operating temperature.
+    pub temperature: Kelvin,
+    /// Monte-Carlo replicas per window class.
+    pub trajectories: usize,
+    /// Campaign base seed (a class runs on [`class_seed`]`(seed,
+    /// window)`).
+    pub seed: u64,
+    /// Integrator time step \[s\].
+    pub dt: f64,
+    /// Whether the thermal bath acts during the pulse.
+    pub thermal: bool,
+    /// A class whose Monte-Carlo WER exceeds this budget is a fault.
+    pub wer_budget: f64,
+    /// Hard cap on the hierarchical kernel radius (rings).
+    pub max_radius: usize,
+    /// Requested truncation accuracy: rings grow until the a-priori
+    /// tail bound drops below this (or `max_radius` stops them).
+    pub field_tol: Oersted,
+}
+
+impl Default for ArrayWerConfig {
+    fn default() -> Self {
+        Self {
+            voltage: Volt::new(0.9),
+            pulse: Nanosecond::new(10.0),
+            temperature: Kelvin::new(300.0),
+            trajectories: 256,
+            seed: 7,
+            dt: 2e-12,
+            thermal: true,
+            wer_budget: 0.01,
+            max_radius: 4,
+            // A quarter of the ~80 Oe ring-1 swing at the paper's
+            // high-density point — radius 4 at 90 nm pitch.
+            field_tol: Oersted::new(25.0),
+        }
+    }
+}
+
+/// The transition a campaign write performs on a cell storing `stored`:
+/// always to the complement — the single place the stored-state →
+/// direction mapping lives.
+fn write_direction(stored: MtjState) -> SwitchDirection {
+    match stored {
+        MtjState::AntiParallel => SwitchDirection::ApToP,
+        MtjState::Parallel => SwitchDirection::PToAp,
+    }
+}
+
+/// The write-condition checks; the kernel and the ensemble plan check
+/// the accuracy knobs and the Monte-Carlo budget.
+fn validate_config(config: &ArrayWerConfig) -> Result<(), FaultsError> {
+    if !(config.pulse.value() > 0.0) || !config.pulse.value().is_finite() {
+        return Err(FaultsError::InvalidParameter {
+            name: "pulse",
+            message: format!("must be positive and finite, got {:?}", config.pulse),
+        });
+    }
+    if !(config.voltage.value() > 0.0) || !config.voltage.value().is_finite() {
+        return Err(FaultsError::InvalidParameter {
+            name: "voltage",
+            message: format!("must be positive and finite, got {:?}", config.voltage),
+        });
+    }
+    if !(config.wer_budget > 0.0 && config.wer_budget <= 1.0) {
+        return Err(FaultsError::InvalidParameter {
+            name: "wer_budget",
+            message: format!("must be in (0, 1], got {}", config.wer_budget),
+        });
+    }
+    Ok(())
+}
+
+/// One calibrated base operating point and drive per transition; classes
+/// differ only by the applied stray field.
+fn direction_point(
+    device: &MtjDevice,
+    direction: SwitchDirection,
+    config: &ArrayWerConfig,
+) -> Result<(MacrospinParams, f64), FaultsError> {
+    let base = MacrospinParams::from_device(device, direction, config.temperature)?;
+    let drive = device
+        .electrical()
+        .current(direction.initial_state(), config.voltage, device.area())
+        .value();
+    Ok((base, drive))
+}
 
 /// How a grid's rows are cut into independently evaluated shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,31 +201,6 @@ impl ShardPlan {
     }
 }
 
-/// A sparse campaign's accuracy and budget knobs on top of the dense
-/// [`ArrayWerConfig`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SparseWerConfig {
-    /// Write conditions and Monte-Carlo budget.
-    pub base: ArrayWerConfig,
-    /// Hard cap on the hierarchical kernel radius (rings).
-    pub max_radius: usize,
-    /// Requested truncation accuracy: rings grow until the a-priori
-    /// tail bound drops below this (or `max_radius` stops them).
-    pub field_tol: Oersted,
-}
-
-impl Default for SparseWerConfig {
-    fn default() -> Self {
-        Self {
-            base: ArrayWerConfig::default(),
-            max_radius: 4,
-            // A quarter of the ~80 Oe ring-1 swing at the paper's
-            // high-density point — radius 4 at 90 nm pitch.
-            field_tol: Oersted::new(25.0),
-        }
-    }
-}
-
 /// The deterministic ensemble seed of an equivalence class: an FNV-1a
 /// mix of the base seed with the class's *window content*. Identical
 /// environments get identical seeds — and therefore bit-identical
@@ -136,8 +216,8 @@ pub fn class_seed(seed: u64, window: &[u8]) -> u64 {
     h.finish()
 }
 
-/// The Monte-Carlo write result of one equivalence class — the sparse
-/// analogue of [`crate::CellWer`], standing for `count` cells at once.
+/// The Monte-Carlo write result of one equivalence class, standing for
+/// its `count` member cells at once.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseClassWer {
     /// FNV-1a digest of the window content — the class's stable
@@ -170,7 +250,7 @@ pub struct SparseClassWer {
     pub faulty: bool,
 }
 
-/// The outcome of one shard of a sparse campaign.
+/// The outcome of one shard of a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardWerReport {
     /// The shard index within the plan.
@@ -223,6 +303,12 @@ impl ShardWerReport {
         self.classes.iter().map(|c| c.mc.wer).fold(0.0, f64::max)
     }
 
+    /// The worst class analytic WER.
+    #[must_use]
+    pub fn worst_analytic(&self) -> f64 {
+        self.classes.iter().map(|c| c.analytic).fold(0.0, f64::max)
+    }
+
     /// The count-weighted mean per-cell Monte-Carlo WER.
     #[must_use]
     pub fn mean_wer(&self) -> f64 {
@@ -233,9 +319,27 @@ impl ShardWerReport {
             .sum::<f64>()
             / cells
     }
+
+    /// Distinct `(direction, NP8 class)` pairs holding a faulty cell —
+    /// the campaign's count of the analytic classifier's
+    /// [`crate::WriteFault`] records.
+    #[must_use]
+    pub fn faulty_classes(&self) -> usize {
+        self.classes
+            .iter()
+            .filter(|c| c.faulty)
+            .map(|c| {
+                (
+                    u8::from(c.direction == SwitchDirection::PToAp),
+                    c.np.class(),
+                )
+            })
+            .collect::<BTreeSet<_>>()
+            .len()
+    }
 }
 
-/// Runs one shard of a sparse write campaign: extracts the band's
+/// Runs one shard of a write campaign: extracts the band's
 /// window equivalence classes, evaluates one field + one Monte-Carlo
 /// ensemble per class, and reports per-class results standing for every
 /// member cell.
@@ -250,7 +354,7 @@ impl ShardWerReport {
 ///
 /// ```
 /// use mramsim_array::{DataPattern, PatternGrid};
-/// use mramsim_faults::{shard_wer_campaign, ShardPlan, SparseWerConfig};
+/// use mramsim_faults::{shard_wer_campaign, ArrayWerConfig, ShardPlan};
 /// use mramsim_mtj::presets;
 /// use mramsim_numerics::pool::WorkerPool;
 /// use mramsim_units::Nanometer;
@@ -258,12 +362,9 @@ impl ShardWerReport {
 /// let device = presets::imec_like(Nanometer::new(35.0))?;
 /// let grid = PatternGrid::new(256, 256, DataPattern::Checkerboard)?;
 /// let plan = ShardPlan::new(256, 64)?;
-/// let config = SparseWerConfig {
-///     base: mramsim_faults::ArrayWerConfig {
-///         trajectories: 24,
-///         ..Default::default()
-///     },
-///     ..Default::default()
+/// let config = ArrayWerConfig {
+///     trajectories: 24,
+///     ..ArrayWerConfig::default()
 /// };
 /// let report = shard_wer_campaign(
 ///     &device, Nanometer::new(70.0), &grid, &plan, 1, &config, &WorkerPool::new(2))?;
@@ -278,10 +379,12 @@ pub fn shard_wer_campaign(
     grid: &PatternGrid,
     plan: &ShardPlan,
     shard: usize,
-    config: &SparseWerConfig,
+    config: &ArrayWerConfig,
     pool: &WorkerPool,
 ) -> Result<ShardWerReport, FaultsError> {
-    validate_config(&config.base)?;
+    validate_config(config)?;
+    let ensemble = EnsemblePlan::new(config.trajectories, config.seed, config.dt)?
+        .with_thermal(config.thermal);
     if plan.rows() != grid.rows() {
         return Err(FaultsError::InvalidParameter {
             name: "shard_rows",
@@ -318,8 +421,8 @@ pub fn shard_wer_campaign(
     )?;
     let classes = grid.shard_classes(row_lo, row_hi, kernel.radius())?;
 
-    let (base_ap2p, drive_ap2p) = direction_point(device, SwitchDirection::ApToP, &config.base)?;
-    let (base_p2ap, drive_p2ap) = direction_point(device, SwitchDirection::PToAp, &config.base)?;
+    let (base_ap2p, drive_ap2p) = direction_point(device, SwitchDirection::ApToP, config)?;
+    let (base_p2ap, drive_p2ap) = direction_point(device, SwitchDirection::PToAp, config)?;
 
     let mut drives = Vec::with_capacity(classes.len());
     let mut seeds = Vec::with_capacity(classes.len());
@@ -335,16 +438,14 @@ pub fn shard_wer_campaign(
             params: base.clone().with_applied_hz(hz),
             current: drive,
         });
-        seeds.push(class_seed(config.base.seed, &class.window));
+        seeds.push(class_seed(config.seed, &class.window));
         fields.push(hz);
     }
 
-    let ensemble = EnsemblePlan::new(config.base.trajectories, config.base.seed, config.base.dt)?
-        .with_thermal(config.base.thermal);
     let estimates = wer_campaign_seeded(
         &drives,
         &seeds,
-        config.base.pulse.to_second().value(),
+        config.pulse.to_second().value(),
         &ensemble,
         pool,
     );
@@ -355,10 +456,10 @@ pub fn shard_wer_campaign(
         let analytic = write_error_rate_saturating(
             device,
             direction,
-            config.base.voltage,
+            config.voltage,
             *hz,
-            config.base.temperature,
-            config.base.pulse,
+            config.temperature,
+            config.pulse,
         )?;
         rows_out.push(SparseClassWer {
             window_key: fnv1a(&class.window),
@@ -372,7 +473,7 @@ pub fn shard_wer_campaign(
             ic_ua: 1e6 * drive.params.critical_current(),
             mc,
             analytic,
-            faulty: mc.wer > config.base.wer_budget,
+            faulty: mc.wer > config.wer_budget,
         });
     }
 
@@ -384,7 +485,7 @@ pub fn shard_wer_campaign(
         cols: grid.cols(),
         pitch,
         density_bits_per_um2: array_density_bits_per_um2(pitch),
-        wer_budget: config.base.wer_budget,
+        wer_budget: config.wer_budget,
         radius: kernel.radius(),
         tail_bound: kernel.tail_bound(),
         tol_met: kernel.tol_met(config.field_tol),
@@ -419,25 +520,47 @@ pub fn shard_wer_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mramsim_array::DataPattern;
+    use mramsim_array::{cell_field_map, DataPattern};
+    use mramsim_dynamics::wer_campaign;
     use mramsim_mtj::presets;
-    use mramsim_units::{Nanosecond, Volt};
+    use std::collections::BTreeMap;
 
     fn device() -> MtjDevice {
         presets::imec_like(Nanometer::new(35.0)).unwrap()
     }
 
-    fn config(trajectories: usize) -> SparseWerConfig {
-        SparseWerConfig {
-            base: ArrayWerConfig {
-                voltage: Volt::new(0.95),
-                pulse: Nanosecond::new(8.0),
-                trajectories,
-                ..ArrayWerConfig::default()
-            },
+    fn config(trajectories: usize) -> ArrayWerConfig {
+        ArrayWerConfig {
+            voltage: Volt::new(0.95),
+            pulse: Nanosecond::new(8.0),
+            trajectories,
             max_radius: 2,
             field_tol: Oersted::new(60.0),
+            ..ArrayWerConfig::default()
         }
+    }
+
+    fn board(n: usize) -> PatternGrid {
+        PatternGrid::new(n, n, DataPattern::Checkerboard).unwrap()
+    }
+
+    /// The `array-wer` set-up: one whole-array shard at kernel radius 1.
+    fn whole_array(
+        grid: &PatternGrid,
+        pitch: f64,
+        (voltage, pulse, trajectories): (f64, f64, usize),
+        pool: &WorkerPool,
+    ) -> ShardWerReport {
+        let config = ArrayWerConfig {
+            voltage: Volt::new(voltage),
+            pulse: Nanosecond::new(pulse),
+            trajectories,
+            max_radius: 1,
+            ..ArrayWerConfig::default()
+        };
+        let plan = ShardPlan::new(grid.rows(), grid.rows()).unwrap();
+        let pitch = Nanometer::new(pitch);
+        shard_wer_campaign(&device(), pitch, grid, &plan, 0, &config, pool).unwrap()
     }
 
     #[test]
@@ -523,6 +646,144 @@ mod tests {
     }
 
     #[test]
+    fn campaign_is_worker_count_invariant() {
+        let run =
+            |workers| whole_array(&board(4), 70.0, (0.95, 8.0, 48), &WorkerPool::new(workers));
+        assert_eq!(run(1), run(8));
+    }
+
+    #[test]
+    fn healthy_corner_is_fault_free_and_aggressive_corner_is_not() {
+        let pool = WorkerPool::new(4);
+        let healthy = whole_array(&board(4), 70.0, (1.0, 20.0, 32), &pool);
+        assert_eq!((healthy.faulty_cells(), healthy.faulty_classes()), (0, 0));
+        // Sub-critical drive: every transition write fails — a finding,
+        // not a panic (the analytic path saturates at WER = 1 too).
+        let broken = whole_array(&board(4), 70.0, (0.3, 20.0, 16), &pool);
+        assert!(broken.faulty_cells() > 0);
+        let ap2p = broken
+            .classes
+            .iter()
+            .filter(|c| c.direction == SwitchDirection::ApToP);
+        for class in ap2p {
+            assert_eq!(class.analytic, 1.0, "sub-critical analytic WER saturates");
+            assert_eq!(class.mc.wer, 1.0, "sub-critical MC WER saturates");
+        }
+    }
+
+    #[test]
+    fn denser_arrays_have_no_better_worst_case() {
+        let pool = WorkerPool::new(4);
+        let sparse = whole_array(&board(4), 105.0, (0.9, 8.0, 32), &pool);
+        let dense = whole_array(&board(4), 52.5, (0.9, 8.0, 32), &pool);
+        assert!(dense.density_bits_per_um2 > sparse.density_bits_per_um2);
+        // The paper's density claim, time-domain edition: tighter pitch
+        // must not improve the analytic worst case.
+        assert!(dense.worst_analytic() >= sparse.worst_analytic());
+    }
+
+    #[test]
+    fn single_cell_and_report_bookkeeping() {
+        let grid = PatternGrid::new(1, 1, DataPattern::Zeros).unwrap();
+        let report = whole_array(&grid, 70.0, (1.0, 20.0, 16), &WorkerPool::new(2));
+        assert_eq!((report.rows, report.cols, report.cells()), (1, 1, 1));
+        assert_eq!((report.row_lo, report.row_hi, report.radius), (0, 1, 1));
+        assert_eq!(report.classes.len(), 1);
+        let class = &report.classes[0];
+        assert_eq!((class.representative, class.count), ((0, 0), 1));
+        assert_eq!(class.direction, SwitchDirection::PToAp);
+        assert!(report.worst_wer() >= report.mean_wer());
+    }
+
+    #[test]
+    fn class_report_covers_every_cell_once() {
+        // Sub-critical: every class is faulty, so `faulty_classes` must
+        // count the distinct (direction, NP8 class) pairs of the dense
+        // per-cell map.
+        let report = whole_array(&board(4), 70.0, (0.3, 10.0, 16), &WorkerPool::new(2));
+        assert_eq!((report.cells(), report.faulty_cells()), (16, 16));
+        let data = DataPattern::Checkerboard.build(4, 4).unwrap();
+        let pairs: BTreeSet<_> = cell_field_map(&device(), Nanometer::new(70.0), &data)
+            .unwrap()
+            .iter()
+            .map(|f| (f.state == MtjState::AntiParallel, f.np.class()))
+            .collect();
+        assert_eq!(report.faulty_classes(), pairs.len());
+        assert!(report.faulty_classes() < report.classes.len());
+    }
+
+    #[test]
+    fn class_estimates_match_independent_per_cell_ensembles() {
+        // Statistical equivalence of the class path with the dense one
+        // it replaced: each class's estimate against independent
+        // per-cell ensembles of its member cells (two-proportion z,
+        // pooled SE), the member fields bit-identical to the dense map.
+        let (n, pitch, write) = (6, 60.0, (0.9, 4.0, 128));
+        let pool = WorkerPool::new(4);
+        let report = whole_array(&board(n), pitch, write, &pool);
+        let (dev, cfg) = (device(), ArrayWerConfig::default());
+        let data = DataPattern::Checkerboard.build(n, n).unwrap();
+        let fields = cell_field_map(&dev, Nanometer::new(pitch), &data).unwrap();
+        let drives: Vec<CellDrive> = fields
+            .iter()
+            .map(|f| {
+                let direction = write_direction(f.state);
+                let cfg = ArrayWerConfig {
+                    voltage: Volt::new(write.0),
+                    ..cfg
+                };
+                let (base, current) = direction_point(&dev, direction, &cfg).unwrap();
+                CellDrive {
+                    params: base.with_applied_hz(f.hz_oe()),
+                    current,
+                }
+            })
+            .collect();
+        let plan = EnsemblePlan::new(write.2, cfg.seed, cfg.dt).unwrap();
+        let cells = wer_campaign(&drives, write.1 * 1e-9, &plan, &pool);
+
+        // Pooled (trajectories, failures) of each class's member cells.
+        let mut members: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
+        for ((field, drive), estimate) in fields.iter().zip(&drives).zip(&cells) {
+            let key = fnv1a(&board(n).pack_window(field.row, field.col, 1));
+            let class = report.classes.iter().find(|c| c.window_key == key).unwrap();
+            assert_eq!(
+                class.hz_stray.value().to_bits(),
+                field.hz_oe().value().to_bits()
+            );
+            assert_eq!(class.ic_ua, 1e6 * drive.params.critical_current());
+            let entry = members.entry(key).or_default();
+            entry.0 += estimate.trajectories as f64;
+            entry.1 += estimate.failures as f64;
+        }
+        assert_eq!(members.len(), report.classes.len());
+        let mut informative = 0;
+        for class in &report.classes {
+            let (n2, x2) = members[&class.window_key];
+            let (n1, x1) = (class.mc.trajectories as f64, class.mc.failures as f64);
+            let pooled = (x1 + x2) / (n1 + n2);
+            let se = (pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2)).sqrt();
+            let z = if se > 0.0 {
+                (x1 / n1 - x2 / n2) / se
+            } else {
+                0.0
+            };
+            assert!(
+                z.abs() <= 4.0,
+                "class at {:?}: WER {} vs members {} (z = {z:.2})",
+                class.representative,
+                class.mc.wer,
+                x2 / n2
+            );
+            informative += usize::from(class.mc.wer > 0.05 && class.mc.wer < 0.95);
+        }
+        assert!(
+            informative >= 5,
+            "only {informative} classes in (0.05, 0.95)"
+        );
+    }
+
+    #[test]
     fn defects_surface_as_explicit_classes() {
         let dev = device();
         let grid = PatternGrid::new(32, 32, DataPattern::Zeros)
@@ -560,36 +821,66 @@ mod tests {
         let grid = PatternGrid::new(16, 16, DataPattern::Zeros).unwrap();
         let pool = WorkerPool::new(1);
         let plan = ShardPlan::new(16, 8).unwrap();
+        let run = |plan: &ShardPlan, cfg: &ArrayWerConfig| {
+            shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, plan, 0, cfg, &pool)
+        };
         // Plan/grid mismatch.
-        let wrong = ShardPlan::new(32, 8).unwrap();
-        assert!(shard_wer_campaign(
-            &dev,
-            Nanometer::new(70.0),
-            &grid,
-            &wrong,
-            0,
-            &config(8),
-            &pool
-        )
-        .is_err());
-        // Bad accuracy knobs.
-        let mut bad = config(8);
-        bad.field_tol = Oersted::new(0.0);
-        assert!(
-            shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, &plan, 0, &bad, &pool).is_err()
-        );
-        let mut capped = config(8);
-        capped.max_radius = 0;
-        assert!(
-            shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, &plan, 0, &capped, &pool)
-                .is_err()
-        );
-        // Bad write conditions surface through the shared validation.
-        let mut volts = config(8);
-        volts.base.voltage = Volt::new(0.0);
-        assert!(
-            shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, &plan, 0, &volts, &pool).is_err()
-        );
+        assert!(run(&ShardPlan::new(32, 8).unwrap(), &config(8)).is_err());
+        // Bad accuracy knobs and write conditions surface as errors.
+        for bad in [
+            ArrayWerConfig {
+                field_tol: Oersted::new(0.0),
+                ..config(8)
+            },
+            ArrayWerConfig {
+                max_radius: 0,
+                ..config(8)
+            },
+            ArrayWerConfig {
+                voltage: Volt::new(0.0),
+                ..config(8)
+            },
+        ] {
+            assert!(run(&plan, &bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected() {
+        let grid = board(2);
+        let plan = ShardPlan::new(2, 2).unwrap();
+        let pool = WorkerPool::new(1);
+        let cfg = |voltage: f64, pulse: f64, trajectories: usize| ArrayWerConfig {
+            voltage: Volt::new(voltage),
+            pulse: Nanosecond::new(pulse),
+            trajectories,
+            max_radius: 1,
+            ..ArrayWerConfig::default()
+        };
+        // Bad write conditions, a zero WER budget and zero trajectories
+        // (the EnsemblePlan error) on the whole-array set-up all surface
+        // as errors, not panics.
+        for bad in [
+            cfg(0.0, 10.0, 8),
+            cfg(1.0, 0.0, 8),
+            cfg(1.0, f64::NAN, 8),
+            ArrayWerConfig {
+                wer_budget: 0.0,
+                ..cfg(1.0, 10.0, 8)
+            },
+            cfg(1.0, 10.0, 0),
+        ] {
+            let run = shard_wer_campaign(
+                &device(),
+                Nanometer::new(70.0),
+                &grid,
+                &plan,
+                0,
+                &bad,
+                &pool,
+            );
+            assert!(run.is_err(), "{bad:?}");
+        }
     }
 
     #[test]
