@@ -278,9 +278,14 @@ impl PatternGrid {
     /// sorted by window content (deterministic regardless of shard
     /// partitioning or traversal order).
     ///
-    /// Defect-free cells are keyed by their clamped edge distances and
-    /// pattern phase — `O(1)` per cell, no allocation — so the pass is
-    /// linear in cells with `O(radius² + defects)` distinct classes.
+    /// Each row splits into three kinds of columns: the `radius` edge
+    /// columns at either side, the columns within `radius` of a defect
+    /// in the row's window band (packed cell by cell), and the interior
+    /// runs between them. A defect-free window is pinned by the cell's
+    /// clamped edge distances and pattern phase, so an interior run
+    /// holds one window per phase and is counted in closed form — the
+    /// pass costs `O(rows × (radius + touched columns))` and yields
+    /// `O(radius² + defects)` classes.
     ///
     /// # Errors
     ///
@@ -309,57 +314,41 @@ impl PatternGrid {
         }
         // (count, min row-major index) per window, ordered by content.
         let mut classes: BTreeMap<Box<[u8]>, (usize, usize)> = BTreeMap::new();
-        // Structural key → packed window, for the defect-free fast
-        // path: clamped edge distances + pattern phase pin the window.
-        type StructKey = (usize, usize, usize, usize, u8);
-        let mut memo: HashMap<StructKey, Box<[u8]>> = HashMap::new();
+        // The same per structural key, for the defect-free cells.
         let mut regular: HashMap<StructKey, (usize, usize)> = HashMap::new();
-        let r_i = radius as isize;
+        let mut touched: Vec<(usize, usize)> = Vec::new();
         for row in row_lo..row_hi {
-            // Defects whose row lies within the window band of `row`.
-            let lo = self
-                .defects
-                .partition_point(|d| (d.row as isize) < row as isize - r_i);
-            let hi = self
-                .defects
-                .partition_point(|d| d.row as isize <= row as isize + r_i);
-            let band = &self.defects[lo..hi];
-            for col in 0..self.cols {
-                let index = row * self.cols + col;
-                let touched = band
-                    .iter()
-                    .any(|d| (d.col as isize - col as isize).abs() <= r_i);
-                if touched {
-                    let window = self.pack_window(row, col, radius);
-                    let entry = classes.entry(window).or_insert((0, index));
-                    entry.0 += 1;
-                    entry.1 = entry.1.min(index);
-                } else {
-                    let phase = match self.pattern {
-                        DataPattern::Checkerboard => ((row + col) % 2) as u8,
-                        DataPattern::Zeros | DataPattern::Ones => 0,
-                    };
-                    let key = (
-                        row.min(radius),
-                        (self.rows - 1 - row).min(radius),
-                        col.min(radius),
-                        (self.cols - 1 - col).min(radius),
-                        phase,
-                    );
-                    let entry = regular.entry(key).or_insert((0, index));
-                    entry.0 += 1;
-                    entry.1 = entry.1.min(index);
+            // Defects whose row lies within the window band of `row`,
+            // as the sorted column spans `[lo, hi)` their windows reach.
+            let band_lo = self.defects.partition_point(|d| d.row + radius < row);
+            let band_hi = self.defects.partition_point(|d| d.row <= row + radius);
+            touched.clear();
+            touched.extend(self.defects[band_lo..band_hi].iter().map(|d| {
+                (
+                    d.col.saturating_sub(radius),
+                    (d.col + radius + 1).min(self.cols),
+                )
+            }));
+            touched.sort_unstable();
+            let mut next = 0;
+            for &(lo, hi) in &touched {
+                if hi <= next {
+                    continue;
                 }
+                let lo = lo.max(next);
+                self.tally_untouched(row, next, lo, radius, &mut regular);
+                for col in lo..hi {
+                    let index = row * self.cols + col;
+                    let window = self.pack_window(row, col, radius);
+                    tally(classes.entry(window).or_insert((0, index)), 1, index);
+                }
+                next = hi;
             }
+            self.tally_untouched(row, next, self.cols, radius, &mut regular);
         }
-        for (key, (count, index)) in regular {
-            let window = memo
-                .entry(key)
-                .or_insert_with(|| self.pack_window(index / self.cols, index % self.cols, radius))
-                .clone();
-            let entry = classes.entry(window).or_insert((0, index));
-            entry.0 += count;
-            entry.1 = entry.1.min(index);
+        for (_, (count, index)) in regular {
+            let window = self.pack_window(index / self.cols, index % self.cols, radius);
+            tally(classes.entry(window).or_insert((0, index)), count, index);
         }
         Ok(classes
             .into_iter()
@@ -371,6 +360,69 @@ impl PatternGrid {
             })
             .collect())
     }
+
+    /// Tallies the defect-free columns `lo..hi` of `row`: each edge
+    /// column on its own, the interior part as one run.
+    fn tally_untouched(
+        &self,
+        row: usize,
+        lo: usize,
+        hi: usize,
+        radius: usize,
+        regular: &mut HashMap<StructKey, (usize, usize)>,
+    ) {
+        // Interior columns `radius..cols - radius` clamp both column
+        // distances to `radius`; every other column is an edge column.
+        let inner_hi = self.cols.saturating_sub(radius).max(radius);
+        let edges = (lo..hi.min(radius)).chain(lo.max(inner_hi)..hi);
+        for col in edges {
+            self.tally_run(row, col, col + 1, radius, regular);
+        }
+        if lo.max(radius) < hi.min(inner_hi) {
+            self.tally_run(row, lo.max(radius), hi.min(inner_hi), radius, regular);
+        }
+    }
+
+    /// Tallies a run `lo..hi` of defect-free columns of `row` that share
+    /// their clamped column distances: one structural key per pattern
+    /// phase, counted in closed form, with the run's first column of
+    /// that phase as the representative.
+    fn tally_run(
+        &self,
+        row: usize,
+        lo: usize,
+        hi: usize,
+        radius: usize,
+        regular: &mut HashMap<StructKey, (usize, usize)>,
+    ) {
+        let period = match self.pattern {
+            DataPattern::Checkerboard => 2,
+            DataPattern::Zeros | DataPattern::Ones => 1,
+        };
+        for first in lo..hi.min(lo + period) {
+            let key = (
+                row.min(radius),
+                (self.rows - 1 - row).min(radius),
+                first.min(radius),
+                (self.cols - 1 - first).min(radius),
+                ((row + first) % period) as u8,
+            );
+            let index = row * self.cols + first;
+            let count = (hi - first).div_ceil(period);
+            tally(regular.entry(key).or_insert((0, index)), count, index);
+        }
+    }
+}
+
+/// Clamped distances to the top, bottom, left and right edges plus the
+/// pattern phase: together they pin a defect-free cell's window.
+type StructKey = (usize, usize, usize, usize, u8);
+
+/// Adds `count` cells, the first at row-major `index`, to a
+/// `(count, min index)` entry.
+fn tally(entry: &mut (usize, usize), count: usize, index: usize) {
+    entry.0 += count;
+    entry.1 = entry.1.min(index);
 }
 
 #[cfg(test)]

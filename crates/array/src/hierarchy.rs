@@ -18,15 +18,13 @@
 //! Ring `k` then contributes at most `8k · c₃ / (k·p)³ = 8c₃/(k²p³)`,
 //! and `Σ_{k>R} 1/k² < 1/R` gives `tail(R) ≤ 8c₃ / (p³R)`.
 
-use crate::kernel::{fingerprint, offset_field_at};
+use crate::kernel::{fingerprint, offset_field_at, shared_kernel, Kernel};
 use crate::{ArrayError, NeighborhoodPattern, StrayFieldKernel};
 use mramsim_mtj::{MtjDevice, MtjState};
-use mramsim_numerics::hash::fnv1a;
 use mramsim_units::constants::OERSTED_PER_AMPERE_PER_METER;
 use mramsim_units::{Nanometer, Oersted};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// One aggressor of an outer ring, addressed in lattice units
 /// (`di` rows down, `dj` columns right of the victim). Fields in A/m
@@ -138,6 +136,8 @@ impl RingTable {
 pub struct HierarchicalKernel {
     base: Arc<StrayFieldKernel>,
     pitch: Nanometer,
+    /// The base kernel's fingerprint, or the kernel-table fingerprint
+    /// (with radius or tolerance) for a shared kernel.
     fingerprint: String,
     rings: Vec<RingTable>,
     /// Dipole coefficient `c₃` \[A·m²\] calibrated from the outermost
@@ -165,7 +165,7 @@ impl HierarchicalKernel {
                 message: "hierarchical kernel radius must be at least 1".to_owned(),
             });
         }
-        // Only actual builds get a span — cache hits in `shared_with`
+        // Only actual builds get a span — hits in the kernel table
         // never reach here, so traces show real kernel work.
         let _span = mramsim_telemetry::span_tree("kernel.build");
         let base = StrayFieldKernel::shared(device, pitch)?;
@@ -230,7 +230,12 @@ impl HierarchicalKernel {
         radius: usize,
     ) -> Result<Arc<Self>, ArrayError> {
         let fp = format!("{}radius={radius};", fingerprint(device, pitch));
-        shared_with(&fp, || Self::compute(device, pitch, radius))
+        shared_kernel(&fp, || {
+            Ok(Self {
+                fingerprint: fp.clone(),
+                ..Self::compute(device, pitch, radius)?
+            })
+        })
     }
 
     /// The memoised tolerance-driven kernel: keyed by
@@ -251,7 +256,12 @@ impl HierarchicalKernel {
             fingerprint(device, pitch),
             tol.value().to_bits()
         );
-        shared_with(&fp, || Self::for_tolerance(device, pitch, tol, max_radius))
+        shared_kernel(&fp, || {
+            Ok(Self {
+                fingerprint: fp.clone(),
+                ..Self::for_tolerance(device, pitch, tol, max_radius)?
+            })
+        })
     }
 
     /// Appends ring `next` (must be `radius() + 1`) and recalibrates
@@ -429,6 +439,12 @@ impl HierarchicalKernel {
     }
 }
 
+impl Kernel for HierarchicalKernel {
+    fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
+}
+
 /// `c₃ = max |field| · d³` over the cells of `table` — the dipole
 /// coefficient that bounds every cell further out.
 fn tail_coeff(table: &RingTable, pitch: Nanometer) -> f64 {
@@ -441,71 +457,6 @@ fn tail_coeff(table: &RingTable, pitch: Nanometer) -> f64 {
             (cell.fixed_hz.abs() + cell.fl_p_hz.abs().max(cell.fl_ap_hz.abs())) * d.powi(3)
         })
         .fold(0.0, f64::max)
-}
-
-struct HierarchyCache {
-    map: RwLock<HashMap<u64, Arc<HierarchicalKernel>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-fn cache() -> &'static HierarchyCache {
-    static CACHE: OnceLock<HierarchyCache> = OnceLock::new();
-    CACHE.get_or_init(|| HierarchyCache {
-        map: RwLock::new(HashMap::new()),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-fn shared_with(
-    fp: &str,
-    compute: impl FnOnce() -> Result<HierarchicalKernel, ArrayError>,
-) -> Result<Arc<HierarchicalKernel>, ArrayError> {
-    let key = fnv1a(fp.as_bytes());
-    let table = cache();
-    if let Some(found) = table
-        .map
-        .read()
-        .expect("hierarchy cache poisoned")
-        .get(&key)
-    {
-        if found.fingerprint == fp {
-            table.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(found));
-        }
-    }
-    table.misses.fetch_add(1, Ordering::Relaxed);
-    let mut kernel = compute()?;
-    // Store the *cache* fingerprint (includes radius / tolerance), not
-    // the bare device fingerprint, so the collision guard is exact.
-    kernel.fingerprint = fp.to_owned();
-    let kernel = Arc::new(kernel);
-    table
-        .map
-        .write()
-        .expect("hierarchy cache poisoned")
-        .insert(key, Arc::clone(&kernel));
-    Ok(kernel)
-}
-
-/// `(hits, misses, entries)` of the hierarchical-kernel table, consumed
-/// by [`kernel_cache_stats`](crate::kernel_cache_stats).
-pub(crate) fn cache_raw_stats() -> (u64, u64, usize) {
-    let table = cache();
-    (
-        table.hits.load(Ordering::Relaxed),
-        table.misses.load(Ordering::Relaxed),
-        table.map.read().expect("hierarchy cache poisoned").len(),
-    )
-}
-
-pub(crate) fn clear_cache() {
-    cache()
-        .map
-        .write()
-        .expect("hierarchy cache poisoned")
-        .clear();
 }
 
 #[cfg(test)]

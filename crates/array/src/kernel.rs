@@ -10,7 +10,10 @@
 //! the relative offset. [`StrayFieldKernel`] computes them once and a
 //! process-wide table keyed by an FNV-1a content address (the same
 //! hashing approach as the engine's result cache) serves every later
-//! analyzer, simulator, and sweep point for free.
+//! analyzer, simulator, and sweep point for free. The same table holds
+//! the [`HierarchicalKernel`](crate::HierarchicalKernel)s, and builds
+//! each missing kernel once: concurrent requests for it wait for the
+//! one build instead of repeating it.
 
 use crate::{diagonal_neighbor_offsets, direct_neighbor_offsets, ArrayError};
 use mramsim_magnetics::FieldSource;
@@ -18,9 +21,10 @@ use mramsim_mtj::{MtjDevice, MtjState};
 use mramsim_numerics::hash::fnv1a;
 use mramsim_numerics::Vec3;
 use mramsim_units::Nanometer;
-use std::collections::HashMap;
+use std::any::Any;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The three per-offset field contributions of one aggressor cell, all
 /// in A/m at the victim FL centre.
@@ -36,7 +40,8 @@ pub struct OffsetField {
     pub fl_ap_hz: f64,
 }
 
-/// Hit/miss counters of the process-wide kernel cache.
+/// Hit/miss counters of the process-wide kernel cache (ring-1 and
+/// hierarchical kernels alike).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelCacheStats {
     /// Kernels served from the cache.
@@ -126,24 +131,9 @@ impl StrayFieldKernel {
     /// Same contract as [`StrayFieldKernel::compute`].
     pub fn shared(device: &MtjDevice, pitch: Nanometer) -> Result<Arc<Self>, ArrayError> {
         let fp = fingerprint(device, pitch);
-        let key = fnv1a(fp.as_bytes());
-        let table = cache();
-        if let Some(found) = table.map.read().expect("kernel cache poisoned").get(&key) {
-            // Guard against an FNV collision: the hit must carry the
-            // exact fingerprint, not just the same 64-bit digest.
-            if found.fingerprint == fp {
-                table.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(found));
-            }
-        }
-        table.misses.fetch_add(1, Ordering::Relaxed);
-        let kernel = Arc::new(Self::compute_with_fingerprint(device, pitch, fp)?);
-        table
-            .map
-            .write()
-            .expect("kernel cache poisoned")
-            .insert(key, Arc::clone(&kernel));
-        Ok(kernel)
+        shared_kernel(&fp, || {
+            Self::compute_with_fingerprint(device, pitch, fp.clone())
+        })
     }
 
     /// The canonical fingerprint the cache keys on.
@@ -261,32 +251,121 @@ pub(crate) fn fingerprint(device: &MtjDevice, pitch: Nanometer) -> String {
     fp
 }
 
-struct KernelCache {
-    map: RwLock<HashMap<u64, Arc<StrayFieldKernel>>>,
+/// The process-wide kernel table: built kernels of every kind under an
+/// FNV-1a digest of their canonical fingerprint, plus the keys being
+/// built right now.
+struct KernelTable {
+    state: Mutex<TableState>,
+    /// Signalled whenever a build ends, built or failed.
+    build_ended: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-fn cache() -> &'static KernelCache {
-    static CACHE: OnceLock<KernelCache> = OnceLock::new();
-    CACHE.get_or_init(|| KernelCache {
-        map: RwLock::new(HashMap::new()),
+#[derive(Default)]
+struct TableState {
+    built: HashMap<u64, Arc<dyn Kernel>>,
+    building: HashSet<u64>,
+}
+
+/// What the kernel table holds: a kernel that carries the full
+/// fingerprint it was built for, the table's collision guard.
+pub(crate) trait Kernel: Any + Send + Sync {
+    /// The exact fingerprint the kernel is stored under.
+    fn fingerprint(&self) -> &str;
+}
+
+impl Kernel for StrayFieldKernel {
+    fn fingerprint(&self) -> &str {
+        &self.fingerprint
+    }
+}
+
+impl KernelTable {
+    /// Locks the state, recovering from poisoning: no kernel code runs
+    /// under the lock, so the maps are always whole.
+    fn lock(&self) -> MutexGuard<'_, TableState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Clears a key's in-flight mark when its build ends, by success,
+/// error or panic, and wakes the requests waiting on it.
+struct Flight<'a> {
+    table: &'a KernelTable,
+    key: u64,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.table.lock().building.remove(&self.key);
+        self.table.build_ended.notify_all();
+    }
+}
+
+fn table() -> &'static KernelTable {
+    static TABLE: OnceLock<KernelTable> = OnceLock::new();
+    TABLE.get_or_init(|| KernelTable {
+        state: Mutex::new(TableState::default()),
+        build_ended: Condvar::new(),
         hits: AtomicU64::new(0),
         misses: AtomicU64::new(0),
     })
 }
 
-/// Current counters of the process-wide kernel caches — the ring-1
-/// table here plus the hierarchical outer-ring table, reported as one
-/// pool (both are `(device, pitch)`-keyed field precomputations).
+/// The shared kernel for fingerprint `fp`, built by `build` (whose
+/// kernel must carry `fp`) when the table lacks it. While one request
+/// builds a key, the others for that key wait and are then served its
+/// kernel; a failed build is not stored, so the next request tries
+/// again.
+pub(crate) fn shared_kernel<T: Kernel>(
+    fp: &str,
+    build: impl FnOnce() -> Result<T, ArrayError>,
+) -> Result<Arc<T>, ArrayError> {
+    let table = table();
+    let key = fnv1a(fp.as_bytes());
+    let mut state = table.lock();
+    loop {
+        // Guard against an FNV collision: a hit must carry the exact
+        // fingerprint, not just the same 64-bit digest.
+        if let Some(kernel) = state.built.get(&key) {
+            if kernel.fingerprint() == fp {
+                let kernel: Arc<dyn Any + Send + Sync> = kernel.clone();
+                if let Ok(kernel) = kernel.downcast::<T>() {
+                    table.hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(kernel);
+                }
+            }
+        }
+        if !state.building.contains(&key) {
+            break;
+        }
+        state = table
+            .build_ended
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    state.building.insert(key);
+    drop(state);
+    table.misses.fetch_add(1, Ordering::Relaxed);
+    let flight = Flight { table, key };
+    let kernel = Arc::new(build()?);
+    debug_assert_eq!(kernel.fingerprint(), fp);
+    table.lock().built.insert(key, Arc::clone(&kernel) as _);
+    drop(flight);
+    Ok(kernel)
+}
+
+/// Current counters of the process-wide kernel table — ring-1 and
+/// hierarchical kernels reported as one pool (both are
+/// `(device, pitch)`-keyed field precomputations).
 #[must_use]
 pub fn kernel_cache_stats() -> KernelCacheStats {
-    let table = cache();
-    let (h_hits, h_misses, h_entries) = crate::hierarchy::cache_raw_stats();
+    let table = table();
     KernelCacheStats {
-        hits: table.hits.load(Ordering::Relaxed) + h_hits,
-        misses: table.misses.load(Ordering::Relaxed) + h_misses,
-        entries: table.map.read().expect("kernel cache poisoned").len() + h_entries,
+        hits: table.hits.load(Ordering::Relaxed),
+        misses: table.misses.load(Ordering::Relaxed),
+        entries: table.lock().built.len(),
     }
 }
 
@@ -294,8 +373,7 @@ pub fn kernel_cache_stats() -> KernelCacheStats {
 /// accumulating). Used by cold-cache benchmarks and long-running
 /// services that change device populations wholesale.
 pub fn clear_kernel_cache() {
-    cache().map.write().expect("kernel cache poisoned").clear();
-    crate::hierarchy::clear_cache();
+    table().lock().built.clear();
 }
 
 #[cfg(test)]
@@ -357,6 +435,56 @@ mod tests {
         let d = StrayFieldKernel::shared(&exact, Nanometer::new(75.0)).unwrap();
         assert_ne!(c.fingerprint(), d.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    /// A stand-in kernel: its fingerprint and a value.
+    #[derive(Debug, PartialEq)]
+    struct Probe(&'static str, u64);
+
+    impl Kernel for Probe {
+        fn fingerprint(&self) -> &str {
+            self.0
+        }
+    }
+
+    #[test]
+    fn concurrent_requests_for_a_new_kernel_share_one_build() {
+        let builds = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(8);
+        let fp = "test=single-flight;";
+        let kernels: Vec<Arc<Probe>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        shared_kernel(fp, || {
+                            builds.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Ok(Probe(fp, 42))
+                        })
+                        .unwrap()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::Relaxed), 1);
+        assert!(kernels.iter().all(|k| Arc::ptr_eq(k, &kernels[0])));
+    }
+
+    #[test]
+    fn failed_builds_are_not_stored() {
+        let fp = "test=failed-build;";
+        let failed = shared_kernel::<Probe>(fp, || {
+            Err(ArrayError::InvalidParameter {
+                name: "test",
+                message: "refused".to_owned(),
+            })
+        });
+        assert!(failed.is_err());
+        let retried = shared_kernel(fp, || Ok(Probe(fp, 7))).unwrap();
+        assert_eq!(retried.1, 7);
+        assert_eq!(shared_kernel(fp, || Ok(Probe(fp, 8))).unwrap().1, 7);
     }
 
     #[test]

@@ -1,14 +1,19 @@
-//! Property tests for the ring-truncated hierarchical kernel: across
-//! random device sizes, pitches, and stored-state patterns, the
-//! truncated inter-cell sum must agree with a much deeper extended sum
-//! to within the kernel's advertised a-priori dipole-tail bound.
+//! Property tests for the ring-truncated hierarchical kernel and the
+//! window-class extraction: across random device sizes, pitches, and
+//! stored-state patterns, the truncated inter-cell sum must agree with a
+//! much deeper extended sum to within the kernel's advertised a-priori
+//! dipole-tail bound; across random grids, bands, radii and defects,
+//! `PatternGrid::shard_classes` must equal a cell-by-cell oracle.
 
-use mramsim_array::{ExtendedCoupling, HierarchicalKernel};
+use mramsim_array::{
+    DataPattern, Defect, ExtendedCoupling, GridClass, HierarchicalKernel, PatternGrid,
+};
 use mramsim_mtj::{presets, MtjState};
 use mramsim_numerics::hash::fnv1a;
 use mramsim_units::constants::OERSTED_PER_AMPERE_PER_METER;
 use mramsim_units::Nanometer;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// The ring-1 representative-collapse slack: the base kernel stands all
 /// eight first-ring neighbours on two polygon-loop evaluations, which
@@ -108,5 +113,69 @@ proptest! {
                 "tail bound must shrink with radius: {bounds:?}"
             );
         }
+    }
+}
+
+/// The brute-force extraction: every cell of the band packs its own
+/// window; cells group by window content with the count and the minimum
+/// row-major index.
+fn oracle_classes(
+    grid: &PatternGrid,
+    row_lo: usize,
+    row_hi: usize,
+    radius: usize,
+) -> Vec<GridClass> {
+    let mut classes: BTreeMap<Box<[u8]>, GridClass> = BTreeMap::new();
+    for row in row_lo..row_hi {
+        for col in 0..grid.cols() {
+            let window = grid.pack_window(row, col, radius);
+            classes
+                .entry(window.clone())
+                .or_insert(GridClass {
+                    window,
+                    radius,
+                    representative: (row, col),
+                    count: 0,
+                })
+                .count += 1;
+        }
+    }
+    classes.into_values().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// The row-run extraction returns exactly the oracle's classes, in
+    /// the same order, with the same counts and representatives.
+    #[test]
+    fn shard_classes_equal_the_cell_by_cell_oracle(
+        (rows, cols) in (1usize..=40, 1usize..=40),
+        (band_start, band_len) in (0usize..40, 1usize..=40),
+        radius in 1usize..=5,
+        pattern in 0usize..3,
+        sites in prop::collection::vec((0usize..40, 0usize..40, 0u8..2), 0..4),
+    ) {
+        let pattern = [DataPattern::Zeros, DataPattern::Ones, DataPattern::Checkerboard][pattern];
+        let mut defects: Vec<Defect> = Vec::new();
+        for (row, col, ap) in sites {
+            let (row, col) = (row % rows, col % cols);
+            if !defects.iter().any(|d| (d.row, d.col) == (row, col)) {
+                let state = MtjState::from_bit(ap == 1);
+                defects.push(Defect { row, col, state });
+            }
+        }
+        let grid = PatternGrid::new(rows, cols, pattern)
+            .unwrap()
+            .with_defects(defects)
+            .unwrap();
+        let row_lo = band_start % rows;
+        let row_hi = (row_lo + band_len).min(rows);
+        prop_assert_eq!(
+            grid.shard_classes(row_lo, row_hi, radius).unwrap(),
+            oracle_classes(&grid, row_lo, row_hi, radius),
+            "{rows}x{cols} {pattern} rows {row_lo}..{row_hi} radius {radius} defects {:?}",
+            grid.defects()
+        );
     }
 }

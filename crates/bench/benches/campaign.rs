@@ -3,14 +3,17 @@
 //! Monte-Carlo WER campaign (per-cell-sequential vs block-flattened),
 //! the `array-wer` fault map (one whole-array shard at kernel radius 1),
 //! and the `campaign_megabit` group — the class-collapsed sharded path
-//! against a dense per-cell reference at megabit scale.
+//! against a dense per-cell reference at megabit scale. Timed shard runs
+//! take a fresh ensemble memo per iteration, so they measure one
+//! shard's whole work.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mramsim_array::{cell_field_map, CellArray, DataPattern, PatternGrid, StrayFieldKernel};
 use mramsim_dynamics::{
-    cell_seed, wer_campaign, wer_monte_carlo, CellDrive, EnsemblePlan, MacrospinParams, WerEstimate,
+    cell_seed, wer_campaign, wer_monte_carlo, CellDrive, EnsembleMemo, EnsemblePlan,
+    MacrospinParams, WerEstimate,
 };
-use mramsim_faults::{shard_wer_campaign, ArrayWerConfig, ShardPlan};
+use mramsim_faults::{shard_wer_campaign, ArrayWerConfig, Ensembles, ShardPlan, ShardWerReport};
 use mramsim_mtj::{presets, MtjDevice, MtjState, SwitchDirection};
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_units::{Kelvin, Nanometer, Nanosecond, Volt};
@@ -25,6 +28,20 @@ fn config() -> Criterion {
 
 fn device() -> MtjDevice {
     presets::imec_like(Nanometer::new(35.0)).unwrap()
+}
+
+/// One shard on a fresh memo, so every class ensemble runs.
+fn fresh_shard(
+    dev: &MtjDevice,
+    grid: &PatternGrid,
+    plan: &ShardPlan,
+    shard: usize,
+    cfg: &ArrayWerConfig,
+    pool: &WorkerPool,
+) -> ShardWerReport {
+    let memo = EnsembleMemo::new();
+    let ensembles = Ensembles { pool, memo: &memo };
+    shard_wer_campaign(dev, Nanometer::new(70.0), grid, plan, shard, cfg, ensembles).unwrap()
 }
 
 /// The adapter alone: deriving 256 per-cell stray fields from the
@@ -102,12 +119,7 @@ fn bench_full_array_wer(c: &mut Criterion) {
     };
     let pool = WorkerPool::with_default_parallelism();
     c.bench_function("array_wer_campaign_4x4_32traj", |b| {
-        b.iter(|| {
-            black_box(
-                shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, &plan, 0, &cfg, &pool)
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(fresh_shard(&dev, &grid, &plan, 0, &cfg, &pool)))
     });
 }
 
@@ -218,18 +230,14 @@ fn bench_megabit_sparse_shard(c: &mut Criterion) {
     let cfg = megabit_config();
     let pool = WorkerPool::with_default_parallelism();
     c.bench_function("campaign_megabit/sparse_shard_64x1024", |b| {
-        b.iter(|| {
-            black_box(
-                shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, &plan, 8, &cfg, &pool)
-                    .unwrap(),
-            )
-        })
+        b.iter(|| black_box(fresh_shard(&dev, &grid, &plan, 8, &cfg, &pool)))
     });
 }
 
 /// The acceptance-criteria measurement, printed once per bench run: a
-/// full 1024×1024 checkerboard campaign through every shard vs the
-/// dense path's extrapolated throughput, with the peak-RSS proxy.
+/// full 1024×1024 checkerboard campaign through every shard, on one
+/// memo as one engine runs it, vs the dense path's extrapolated
+/// throughput, with the peak-RSS proxy and the ensembles that ran.
 fn report_megabit_speedup(_c: &mut Criterion) {
     let dev = device();
     let pool = WorkerPool::with_default_parallelism();
@@ -243,10 +251,15 @@ fn report_megabit_speedup(_c: &mut Criterion) {
 
     let grid = PatternGrid::new(1024, 1024, DataPattern::Checkerboard).unwrap();
     let plan = ShardPlan::new(1024, 64).unwrap();
+    let memo = EnsembleMemo::new();
+    let ensembles = Ensembles {
+        pool: &pool,
+        memo: &memo,
+    };
     let t1 = Instant::now();
     let (mut cells, mut classes) = (0usize, 0usize);
     for shard in 0..plan.n_shards() {
-        let report = shard_wer_campaign(&dev, pitch, &grid, &plan, shard, &cfg, &pool).unwrap();
+        let report = shard_wer_campaign(&dev, pitch, &grid, &plan, shard, &cfg, ensembles).unwrap();
         cells += report.cells();
         classes += report.classes.len();
     }
@@ -254,10 +267,11 @@ fn report_megabit_speedup(_c: &mut Criterion) {
     println!(
         "campaign_megabit: dense {dense_rate:.0} cells/s ({} cells), \
          sparse {sparse_rate:.0} cells/s ({cells} cells via {classes} class ensembles, \
-         {:.0}x dense), peak RSS {} MB",
+         {:.0}x dense), peak RSS {} MB, {} ensembles run",
         dense.len(),
         sparse_rate / dense_rate,
         peak_rss_mb().map_or_else(|| "?".to_owned(), |mb| mb.to_string()),
+        memo.stats().misses,
     );
 }
 

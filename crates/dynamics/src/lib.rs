@@ -31,7 +31,10 @@
 //!   with deterministic per-cell FNV seed streams and streaming
 //!   per-block aggregation; [`wer_campaign_seeded`] takes the seeds
 //!   from the caller — the substrate of the window-class campaigns
-//!   behind `array-wer` and `array-wer-shard`.
+//!   behind `array-wer` and `array-wer-shard`,
+//! * [`EnsembleMemo`] — a bounded memo in front of
+//!   [`wer_campaign_seeded`], keyed by the exact bits of each
+//!   ensemble's inputs, so a campaign runs each distinct window once.
 //!
 //! # Example: Monte-Carlo WER vs the analytic model
 //!
@@ -62,6 +65,7 @@ mod ensemble;
 mod error;
 pub mod llgs;
 mod mc;
+mod memo;
 mod stream;
 
 pub use campaign::{cell_seed, wer_campaign, wer_campaign_seeded, CellDrive};
@@ -69,3 +73,4 @@ pub use ensemble::{run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANE
 pub use error::DynamicsError;
 pub use llgs::{heun_step, record_trajectory, MacrospinParams, GAMMA_0, GYROMAGNETIC_RATIO};
 pub use mc::{switching_time_distribution, wer_monte_carlo, SwitchingTimes, WerEstimate};
+pub use memo::{EnsembleMemo, MemoStats};

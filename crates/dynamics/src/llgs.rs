@@ -200,6 +200,43 @@ impl MacrospinParams {
         self.with_applied_field(Vec3::new(0.0, 0.0, kernel.total_hz(np)))
     }
 
+    /// Every coefficient as its exact `f64` bits, the applied field
+    /// included: parameter sets with equal keys step bit-identical
+    /// trajectories. The key of memoised ensembles
+    /// ([`crate::EnsembleMemo`]).
+    #[must_use]
+    pub fn bit_key(&self) -> [u64; 12] {
+        // Exhaustive on purpose: a new coefficient fails to compile
+        // here until the key covers it.
+        let Self {
+            alpha_eff,
+            gamma_eff,
+            hk_eff,
+            aj_per_ampere,
+            field_scale,
+            h_app: Vec3 { x, y, z },
+            thermal_d,
+            delta0_t,
+            initial_mz,
+            stt_sign,
+        } = *self;
+        [
+            alpha_eff,
+            gamma_eff,
+            hk_eff,
+            aj_per_ampere,
+            field_scale,
+            x,
+            y,
+            z,
+            thermal_d,
+            delta0_t,
+            initial_mz,
+            stt_sign,
+        ]
+        .map(f64::to_bits)
+    }
+
     /// Effective damping after calibration.
     #[must_use]
     pub fn alpha_eff(&self) -> f64 {

@@ -130,8 +130,10 @@ impl LaneStreams {
     /// word from every lane at once, the ziggurat fast path on each,
     /// and [`Ziggurat::slow`] on a rejected lane's own stream. Lane `l`
     /// gets exactly the value `scale * zig.sample(&mut scalar_stream_l)`
-    /// would give.
-    #[inline]
+    /// would give. Always inlined: the lane pass of
+    /// [`crate::ensemble::run_block`] draws three of these per step, and
+    /// an out-of-line call there costs several percent of a campaign.
+    #[inline(always)]
     pub(crate) fn normals(&mut self, zig: &Ziggurat, scale: f64) -> [f64; LANES] {
         let words = self.next_words();
         let mut z = [0.0f64; LANES];

@@ -797,7 +797,17 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         return Err("`--rows` and `--shard_rows` must be positive integers".into());
     }
     let n_shards = (rows as usize).div_ceil(shard_rows as usize);
-    let plan = plan_with_params(SweepPlan::new(&scenario), options.params.clone()).axis(
+    // One campaign, one seed: the sweep would otherwise derive a seed
+    // per shard from its fingerprint, and the same window would get a
+    // different estimate in every shard. Unseeded, a campaign runs on
+    // the scenario's default seed, as `run --shard k` does.
+    let mut params = options.params.clone();
+    if !params.iter().any(|(name, _)| name == "seed") {
+        if let Some(spec) = specs.iter().find(|s| s.name == "seed") {
+            params.push(("seed".to_owned(), spec.default.clone()));
+        }
+    }
+    let plan = plan_with_params(SweepPlan::new(&scenario), params).axis(
         "shard",
         (0..n_shards).map(|shard| shard as f64).collect::<Vec<_>>(),
     );
@@ -896,17 +906,16 @@ fn execute_sweep(
     // when they were recorded (the counters see exactly this sweep's
     // cache traffic); without telemetry they fall back to the sweep
     // outcome and the engine-lifetime cache stats.
-    let (warm_hits, evictions) = if options.telemetry {
-        let snapshot = metrics.snapshot();
-        (
+    let snapshot = options.telemetry.then(|| metrics.snapshot());
+    let (warm_hits, evictions) = match &snapshot {
+        Some(snapshot) => (
             snapshot.counter("cache.memory_hits"),
             snapshot.counter("cache.evictions"),
-        )
-    } else {
-        (
+        ),
+        None => (
             outcome.cache_hits.saturating_sub(outcome.disk_hits) as u64,
             engine.cache_stats().evictions,
-        )
+        ),
     };
     let pressure = if evictions > 0 {
         format!(", {evictions} memory eviction(s)")
@@ -925,8 +934,19 @@ fn execute_sweep(
     } else {
         String::new()
     };
+    // Window-class rows the computed points produced, and how many of
+    // them the campaign memo served without running an ensemble (from
+    // the telemetry counters; quiet for scenarios without classes).
+    let memo = match &snapshot {
+        Some(snapshot) if snapshot.counter("campaign.classes") > 0 => format!(
+            ", class memo {}/{} hit(s)",
+            snapshot.counter("campaign.memo_hits"),
+            snapshot.counter("campaign.classes"),
+        ),
+        _ => String::new(),
+    };
     eprintln!(
-        "swept `{}`: {} point(s) on {} worker(s) in {:.1?} — {} cache hit(s) ({warm_hits} warm, {} from disk), {} error(s){skipped}{pressure}{kernels}",
+        "swept `{}`: {} point(s) on {} worker(s) in {:.1?} — {} cache hit(s) ({warm_hits} warm, {} from disk), {} error(s){skipped}{pressure}{kernels}{memo}",
         outcome.scenario,
         outcome.jobs.len(),
         engine.workers(),

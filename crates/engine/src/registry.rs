@@ -8,7 +8,9 @@
 //! whole-array shard at kernel radius 1) and the sharded megabit grid
 //! (`array-wer-shard`), both one ensemble per window class — are
 //! registered under stable ids.
-//! [`Registry::standard`] builds the full set.
+//! [`Registry::standard`] builds the full set; each of the two campaign
+//! scenarios owns an [`EnsembleMemo`], so one engine runs each distinct
+//! window of a campaign once.
 
 use crate::{EngineError, ParamSet, ParamSpec, Scenario, ScenarioOutput};
 use mramsim_array::DataPattern;
@@ -19,12 +21,12 @@ use mramsim_core::experiments::{
 use mramsim_core::explorer::{explore, DesignQuery};
 use mramsim_core::report::Table;
 use mramsim_dynamics::{
-    switching_time_distribution, wer_monte_carlo, EnsemblePlan, MacrospinParams,
+    switching_time_distribution, wer_monte_carlo, EnsembleMemo, EnsemblePlan, MacrospinParams,
 };
 use mramsim_faults::march::MarchTest;
 use mramsim_faults::{
-    classify_write_faults, shard_wer_campaign, ArraySimulator, ArrayWerConfig, ShardPlan,
-    SparseClassWer, WriteConditions,
+    classify_write_faults, shard_wer_campaign, ArraySimulator, ArrayWerConfig, Ensembles,
+    ShardPlan, SparseClassWer, WriteConditions,
 };
 use mramsim_mtj::wer::write_error_rate_saturating;
 use mramsim_mtj::{presets, MtjDevice, SwitchDirection};
@@ -128,8 +130,8 @@ impl Registry {
         registry.register(Arc::new(FaultsScenario));
         registry.register(Arc::new(WerMcScenario));
         registry.register(Arc::new(SwitchTrajScenario));
-        registry.register(Arc::new(ArrayWerScenario));
-        registry.register(Arc::new(ArrayWerShardScenario));
+        registry.register(Arc::new(ArrayWerScenario::default()));
+        registry.register(Arc::new(ArrayWerShardScenario::default()));
         registry
     }
 
@@ -1173,7 +1175,11 @@ fn class_row(address: &[String], class: &SparseClassWer) -> Vec<String> {
 }
 
 /// Array-scale Monte-Carlo write campaign: per-cell WER fault maps.
-struct ArrayWerScenario;
+#[derive(Default)]
+struct ArrayWerScenario {
+    /// Class ensembles this scenario already ran, by exact inputs.
+    memo: EnsembleMemo,
+}
 
 impl Scenario for ArrayWerScenario {
     fn id(&self) -> &'static str {
@@ -1225,7 +1231,11 @@ impl Scenario for ArrayWerScenario {
             ..campaign_config(params)?
         };
         let pool = WorkerPool::new(crate::scenario_workers());
-        let report = shard_wer_campaign(&device, pitch, &grid, &plan, 0, &config, &pool)
+        let ensembles = Ensembles {
+            pool: &pool,
+            memo: &self.memo,
+        };
+        let report = shard_wer_campaign(&device, pitch, &grid, &plan, 0, &config, ensembles)
             .map_err(|e| model_err("array-wer", e))?;
 
         let worst_analytic = report.worst_analytic();
@@ -1282,7 +1292,12 @@ impl Scenario for ArrayWerScenario {
 
 /// Sparse sharded write campaign: one row band of a megabit-scale grid,
 /// collapsed into stored-state window equivalence classes.
-struct ArrayWerShardScenario;
+#[derive(Default)]
+struct ArrayWerShardScenario {
+    /// Class ensembles this scenario already ran, by exact inputs: a
+    /// window recurring in another shard of a campaign is served.
+    memo: EnsembleMemo,
+}
 
 impl Scenario for ArrayWerShardScenario {
     fn id(&self) -> &'static str {
@@ -1355,7 +1370,11 @@ impl Scenario for ArrayWerShardScenario {
             ..campaign_config(params)?
         };
         let pool = WorkerPool::new(crate::scenario_workers());
-        let report = shard_wer_campaign(&device, pitch, &grid, &plan, shard, &config, &pool)
+        let ensembles = Ensembles {
+            pool: &pool,
+            memo: &self.memo,
+        };
+        let report = shard_wer_campaign(&device, pitch, &grid, &plan, shard, &config, ensembles)
             .map_err(|e| model_err("array-wer-shard", e))?;
 
         let worst_analytic = report.worst_analytic();
@@ -1615,7 +1634,7 @@ mod tests {
 
     #[test]
     fn array_wer_is_deterministic_and_campaign_params_are_cache_keys() {
-        let scenario = ArrayWerScenario;
+        let scenario = ArrayWerScenario::default();
         let base = ParamSet::defaults(&scenario.params())
             .with("rows", 3.0)
             .with("cols", 3.0)
@@ -1647,7 +1666,7 @@ mod tests {
 
     #[test]
     fn array_wer_rejects_bad_patterns_and_dimensions() {
-        let scenario = ArrayWerScenario;
+        let scenario = ArrayWerScenario::default();
         for (name, value) in [("pattern", "stripes"), ("pattern", "")] {
             let params = ParamSet::defaults(&scenario.params()).with(name, value);
             assert!(matches!(
@@ -1669,7 +1688,7 @@ mod tests {
 
     #[test]
     fn array_wer_shard_covers_its_band_and_knobs_are_cache_keys() {
-        let scenario = ArrayWerShardScenario;
+        let scenario = ArrayWerShardScenario::default();
         let base = ParamSet::defaults(&scenario.params())
             .with("rows", 32.0)
             .with("cols", 24.0)

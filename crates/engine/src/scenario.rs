@@ -9,7 +9,10 @@ use mramsim_core::report::Table;
 ///
 /// Implementations must be cheap to construct and stateless — all
 /// inputs arrive through the [`ParamSet`], which is what makes runs
-/// cacheable and sweepable.
+/// cacheable and sweepable. The one state allowed is a bounded memo of
+/// a pure function of those inputs (the campaign scenarios'
+/// [`EnsembleMemo`](mramsim_dynamics::EnsembleMemo)): a hit must be
+/// bit-identical to recomputing, so no output can depend on it.
 pub trait Scenario: Send + Sync {
     /// Stable identifier (`fig4b`, `explore`, `faults`, …).
     fn id(&self) -> &'static str;

@@ -500,6 +500,51 @@ fn cli_interrupted_campaign_resumes_byte_identically() {
 }
 
 #[test]
+fn cli_unseeded_campaign_shards_share_the_default_seed() {
+    // An unseeded campaign runs every shard on the scenario's default
+    // seed, so one shard run by hand with the same parameters is the
+    // campaign's own stored point: served from disk, and identical to
+    // computing it afresh.
+    let dir = TempDir::new("cli-campaign-seed");
+    let dir_str = dir.0.to_str().unwrap();
+    let grid = [
+        "--rows",
+        "48",
+        "--cols",
+        "32",
+        "--shard_rows",
+        "16",
+        "--trajectories",
+        "12",
+        "--pulse_ns",
+        "4",
+        "--max_radius",
+        "2",
+        "--field_tol",
+        "60",
+        "--format",
+        "csv",
+    ];
+    let with = |head: &[&'static str], cache: &str| -> Vec<String> {
+        head.iter()
+            .chain(&grid)
+            .copied()
+            .chain(["--cache-dir", cache])
+            .map(str::to_owned)
+            .collect()
+    };
+    let run = |args: Vec<String>| mramsim(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    run(with(&["campaign"], dir_str));
+    let shard = ["run", "array-wer-shard", "--shard", "1"];
+    let (served, served_err) = run(with(&shard, dir_str));
+    assert!(served_err.contains("(disk-cache hit)"), "{served_err}");
+    let fresh = TempDir::new("cli-campaign-seed-fresh");
+    let (computed, computed_err) = run(with(&shard, fresh.0.to_str().unwrap()));
+    assert!(!computed_err.contains("cache hit"), "{computed_err}");
+    assert_eq!(served, computed);
+}
+
+#[test]
 fn cli_degrades_to_memory_only_when_the_default_cache_dir_is_unusable() {
     // An unusable *default* directory (read-only HOME, sandbox) must
     // not break `run`/`sweep` — persistence is an optimisation there.

@@ -132,6 +132,66 @@ fn jsonl_log_of_a_real_array_wer_sweep_round_trips() {
 }
 
 #[test]
+fn campaign_counters_split_class_rows_into_runs_and_memo_hits() {
+    // A seeded 2-shard campaign at 1 worker: every class row is either
+    // an ensemble run or a memo hit, and the ensembles run are exactly
+    // the distinct windows. A second engine starts from an empty memo
+    // and reports the same split.
+    let _serial = install_lock();
+    let plan = SweepPlan::new("array-wer-shard")
+        .fix("rows", 32.0)
+        .fix("cols", 24.0)
+        .fix("shard_rows", 16.0)
+        .fix("trajectories", 8.0)
+        .fix("pulse_ns", 2.0)
+        .fix("max_radius", 2.0)
+        .fix("field_tol", 60.0)
+        .fix("seed", 5.0)
+        .axis("shard", vec![0.0, 1.0]);
+    for engine in [Engine::standard(), Engine::standard()] {
+        let path = scratch_path("memo").with_extension("telemetry");
+        let metrics = Arc::new(MetricsRecorder::new());
+        let sink = Arc::new(JsonlRecorder::create(&path, Clock::system()).expect("create log"));
+        let guard = telemetry::install(Arc::new(Fanout(vec![
+            metrics.clone() as Arc<dyn telemetry::Recorder>,
+            sink,
+        ])));
+        let outcome = engine.with_workers(1).sweep(&plan).expect("sweep runs");
+        drop(guard);
+        assert_eq!(outcome.errors, 0);
+        let snapshot = metrics.snapshot();
+        let log = TelemetryLog::load(&path).expect("log parses");
+        let class_events: Vec<_> = log
+            .events
+            .iter()
+            .filter(|e| e.name == "ensemble.health" && e.text("estimator") == Some("class_wer"))
+            .collect();
+        let windows: std::collections::BTreeSet<&str> = class_events
+            .iter()
+            .map(|e| e.text("window_key").expect("window key"))
+            .collect();
+        let ran = class_events
+            .iter()
+            .filter(|e| e.fields.get("ran") == Some(&Json::Bool(true)))
+            .count();
+
+        let rows = total_classes(&outcome);
+        let distinct = windows.len() as u64;
+        assert_eq!(snapshot.counter("campaign.classes"), rows);
+        assert_eq!(class_events.len() as u64, rows);
+        assert_eq!(snapshot.counter("llgs.wer_estimates"), distinct);
+        assert_eq!(ran as u64, distinct);
+        assert_eq!(snapshot.counter("campaign.memo_hits"), rows - distinct);
+        assert!(rows > distinct, "the shards share interior windows");
+        assert_eq!(
+            snapshot.gauges.get("campaign.memo_entries"),
+            Some(&(distinct as f64))
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+#[test]
 fn span_tree_of_a_real_sweep_nests_every_job_under_the_root() {
     let _serial = install_lock();
     let path = scratch_path("spans").with_extension("telemetry");

@@ -14,8 +14,9 @@
 //!   neighbourhood patterns break a write at a given design point,
 //! * [`sharded`] — the Monte-Carlo write campaign: one s-LLGS WER
 //!   ensemble per stored-state window class of a (sharded) grid, under
-//!   that window's stray field, next to the analytic path; a
-//!   whole-array shard at kernel radius 1 is the per-cell fault map,
+//!   that window's stray field, next to the analytic path, each
+//!   distinct window run once per memo; a whole-array shard at kernel
+//!   radius 1 is the per-cell fault map,
 //! * [`march`] — a March test engine (MATS+, March C−) that detects the
 //!   resulting pattern-sensitive faults.
 //!
@@ -56,6 +57,7 @@ pub use classify::{classify_write_faults, WriteFault, WriteFaultReport};
 pub use error::FaultsError;
 pub use mramsim_array::CellArray;
 pub use sharded::{
-    class_seed, shard_wer_campaign, ArrayWerConfig, ShardPlan, ShardWerReport, SparseClassWer,
+    class_seed, shard_wer_campaign, ArrayWerConfig, Ensembles, ShardPlan, ShardWerReport,
+    SparseClassWer,
 };
 pub use simulator::{ArraySimulator, OpResult, WriteConditions};

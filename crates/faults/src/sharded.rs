@@ -22,6 +22,10 @@
 //!    and — because class results are position-independent — their
 //!    reports are bit-identical however the grid is partitioned
 //!    (property-tested in `tests/`).
+//! 3. **One ensemble per distinct window.** Class ensembles run through
+//!    an [`EnsembleMemo`] keyed by their exact inputs, so a window that
+//!    recurs in another shard of the same campaign is served, not
+//!    rerun — bit-identical either way.
 //!
 //! The stray field comes from the ring-truncated
 //! [`HierarchicalKernel`], grown to the caller's `field_tol` accuracy
@@ -35,9 +39,7 @@ use crate::FaultsError;
 use mramsim_array::{
     array_density_bits_per_um2, HierarchicalKernel, NeighborhoodPattern, PatternGrid,
 };
-use mramsim_dynamics::{
-    wer_campaign_seeded, CellDrive, EnsemblePlan, MacrospinParams, WerEstimate,
-};
+use mramsim_dynamics::{CellDrive, EnsembleMemo, EnsemblePlan, MacrospinParams, WerEstimate};
 use mramsim_mtj::wer::write_error_rate_saturating;
 use mramsim_mtj::{MtjDevice, MtjState, SwitchDirection};
 use mramsim_numerics::hash::{fnv1a, Fnv1a};
@@ -201,6 +203,16 @@ impl ShardPlan {
     }
 }
 
+/// Where a campaign's class ensembles run: lane blocks fan out on
+/// `pool`, and inputs already run are served from `memo`.
+#[derive(Debug, Clone, Copy)]
+pub struct Ensembles<'a> {
+    /// The pool the ensembles' lane blocks fan out on.
+    pub pool: &'a WorkerPool,
+    /// The memo that serves repeated class inputs.
+    pub memo: &'a EnsembleMemo,
+}
+
 /// The deterministic ensemble seed of an equivalence class: an FNV-1a
 /// mix of the base seed with the class's *window content*. Identical
 /// environments get identical seeds — and therefore bit-identical
@@ -341,8 +353,9 @@ impl ShardWerReport {
 
 /// Runs one shard of a write campaign: extracts the band's
 /// window equivalence classes, evaluates one field + one Monte-Carlo
-/// ensemble per class, and reports per-class results standing for every
-/// member cell.
+/// ensemble per class (served from `ensembles.memo` when the same
+/// inputs already ran), and reports per-class results standing for
+/// every member cell.
 ///
 /// # Errors
 ///
@@ -354,7 +367,8 @@ impl ShardWerReport {
 ///
 /// ```
 /// use mramsim_array::{DataPattern, PatternGrid};
-/// use mramsim_faults::{shard_wer_campaign, ArrayWerConfig, ShardPlan};
+/// use mramsim_dynamics::EnsembleMemo;
+/// use mramsim_faults::{shard_wer_campaign, ArrayWerConfig, Ensembles, ShardPlan};
 /// use mramsim_mtj::presets;
 /// use mramsim_numerics::pool::WorkerPool;
 /// use mramsim_units::Nanometer;
@@ -366,11 +380,17 @@ impl ShardWerReport {
 ///     trajectories: 24,
 ///     ..ArrayWerConfig::default()
 /// };
+/// let (pool, memo) = (WorkerPool::new(2), EnsembleMemo::new());
+/// let ensembles = Ensembles { pool: &pool, memo: &memo };
 /// let report = shard_wer_campaign(
-///     &device, Nanometer::new(70.0), &grid, &plan, 1, &config, &WorkerPool::new(2))?;
+///     &device, Nanometer::new(70.0), &grid, &plan, 1, &config, ensembles)?;
 /// // 64 rows × 256 cols, but only a handful of window classes.
 /// assert_eq!(report.cells(), 64 * 256);
 /// assert!(report.classes.len() < 40);
+/// // The next interior shard holds the same windows: all served.
+/// let next = shard_wer_campaign(
+///     &device, Nanometer::new(70.0), &grid, &plan, 2, &config, ensembles)?;
+/// assert_eq!(memo.stats().hits, next.classes.len() as u64);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn shard_wer_campaign(
@@ -380,7 +400,7 @@ pub fn shard_wer_campaign(
     plan: &ShardPlan,
     shard: usize,
     config: &ArrayWerConfig,
-    pool: &WorkerPool,
+    ensembles: Ensembles<'_>,
 ) -> Result<ShardWerReport, FaultsError> {
     validate_config(config)?;
     let ensemble = EnsemblePlan::new(config.trajectories, config.seed, config.dt)?
@@ -442,16 +462,17 @@ pub fn shard_wer_campaign(
         fields.push(hz);
     }
 
-    let estimates = wer_campaign_seeded(
+    let estimates = ensembles.memo.wer_campaign_seeded(
         &drives,
         &seeds,
         config.pulse.to_second().value(),
         &ensemble,
-        pool,
+        ensembles.pool,
     );
 
     let mut rows_out = Vec::with_capacity(classes.len());
-    for (((class, drive), hz), mc) in classes.iter().zip(&drives).zip(&fields).zip(estimates) {
+    for (((class, drive), hz), &(mc, _)) in classes.iter().zip(&drives).zip(&fields).zip(&estimates)
+    {
         let direction = write_direction(class.stored());
         let analytic = write_error_rate_saturating(
             device,
@@ -495,12 +516,19 @@ pub fn shard_wer_campaign(
         telemetry::counter_add("campaign.shards", 1);
         telemetry::counter_add("campaign.cells", report.cells() as u64);
         telemetry::counter_add("campaign.classes", report.classes.len() as u64);
+        let served = estimates.iter().filter(|&&(_, ran)| !ran).count();
+        telemetry::counter_add("campaign.memo_hits", served as u64);
+        telemetry::gauge_set(
+            "campaign.memo_entries",
+            ensembles.memo.stats().entries as f64,
+        );
         telemetry::gauge_set("kernel.radius", report.radius as f64);
         telemetry::gauge_set("kernel.tail_bound_oe", report.tail_bound.value());
         // Per-class estimator health, keyed by the content-derived
         // window key so the same environment is comparable across
-        // shards, grids, and runs.
-        for class in &report.classes {
+        // shards, grids, and runs; `ran` tells a computed ensemble from
+        // a memo hit.
+        for (class, &(_, ran)) in report.classes.iter().zip(&estimates) {
             class.mc.emit_health(
                 "class_wer",
                 &[
@@ -510,6 +538,7 @@ pub fn shard_wer_campaign(
                     ),
                     ("cells", telemetry::Value::U64(class.count as u64)),
                     ("shard", telemetry::Value::U64(shard as u64)),
+                    ("ran", telemetry::Value::Bool(ran)),
                 ],
             );
         }
@@ -544,6 +573,21 @@ mod tests {
         PatternGrid::new(n, n, DataPattern::Checkerboard).unwrap()
     }
 
+    /// One shard on a memo of its own, so every class ensemble runs.
+    fn fresh_shard(
+        device: &MtjDevice,
+        pitch: Nanometer,
+        grid: &PatternGrid,
+        plan: &ShardPlan,
+        shard: usize,
+        config: &ArrayWerConfig,
+        pool: &WorkerPool,
+    ) -> Result<ShardWerReport, FaultsError> {
+        let memo = EnsembleMemo::new();
+        let ensembles = Ensembles { pool, memo: &memo };
+        shard_wer_campaign(device, pitch, grid, plan, shard, config, ensembles)
+    }
+
     /// The `array-wer` set-up: one whole-array shard at kernel radius 1.
     fn whole_array(
         grid: &PatternGrid,
@@ -560,7 +604,7 @@ mod tests {
         };
         let plan = ShardPlan::new(grid.rows(), grid.rows()).unwrap();
         let pitch = Nanometer::new(pitch);
-        shard_wer_campaign(&device(), pitch, grid, &plan, 0, &config, pool).unwrap()
+        fresh_shard(&device(), pitch, grid, &plan, 0, &config, pool).unwrap()
     }
 
     #[test]
@@ -579,7 +623,7 @@ mod tests {
         let dev = device();
         let grid = PatternGrid::new(128, 96, DataPattern::Checkerboard).unwrap();
         let plan = ShardPlan::new(128, 48).unwrap();
-        let report = shard_wer_campaign(
+        let report = fresh_shard(
             &dev,
             Nanometer::new(70.0),
             &grid,
@@ -606,7 +650,7 @@ mod tests {
         let grid = PatternGrid::new(64, 48, DataPattern::Checkerboard).unwrap();
         let cfg = config(24);
         let pitch = Nanometer::new(70.0);
-        let whole = shard_wer_campaign(
+        let whole = fresh_shard(
             &dev,
             pitch,
             &grid,
@@ -619,8 +663,7 @@ mod tests {
         let plan = ShardPlan::new(64, 32).unwrap();
         for shard in 0..2 {
             let part =
-                shard_wer_campaign(&dev, pitch, &grid, &plan, shard, &cfg, &WorkerPool::new(5))
-                    .unwrap();
+                fresh_shard(&dev, pitch, &grid, &plan, shard, &cfg, &WorkerPool::new(5)).unwrap();
             for class in &part.classes {
                 let full = whole
                     .classes
@@ -637,12 +680,48 @@ mod tests {
         }
         let cells: usize = (0..2)
             .map(|s| {
-                shard_wer_campaign(&dev, pitch, &grid, &plan, s, &cfg, &WorkerPool::new(1))
+                fresh_shard(&dev, pitch, &grid, &plan, s, &cfg, &WorkerPool::new(1))
                     .unwrap()
                     .cells()
             })
             .sum();
         assert_eq!(cells, whole.cells());
+    }
+
+    #[test]
+    fn a_shared_memo_runs_each_window_once_and_changes_no_result() {
+        // Shard by shard through one memo, a campaign is bit-identical
+        // to fresh-memo runs at 1 and 4 workers; at 1 worker it runs
+        // exactly one ensemble per distinct window.
+        let dev = device();
+        let grid = board(256);
+        let plan = ShardPlan::new(256, 64).unwrap();
+        let cfg = ArrayWerConfig {
+            pulse: Nanosecond::new(2.0),
+            ..config(8)
+        };
+        let pitch = Nanometer::new(70.0);
+        let (one, four) = (WorkerPool::new(1), WorkerPool::new(4));
+        let memo = EnsembleMemo::new();
+        let ensembles = Ensembles {
+            pool: &one,
+            memo: &memo,
+        };
+        let (mut rows, mut windows) = (0, BTreeSet::new());
+        for shard in 0..plan.n_shards() {
+            let shared =
+                shard_wer_campaign(&dev, pitch, &grid, &plan, shard, &cfg, ensembles).unwrap();
+            for pool in [&one, &four] {
+                let fresh = fresh_shard(&dev, pitch, &grid, &plan, shard, &cfg, pool).unwrap();
+                assert_eq!(shared, fresh, "shard {shard}");
+            }
+            rows += shared.classes.len();
+            windows.extend(shared.classes.iter().map(|c| c.window_key));
+        }
+        let stats = memo.stats();
+        assert_eq!(stats.misses, windows.len() as u64);
+        assert_eq!(stats.hits, (rows - windows.len()) as u64);
+        assert!(stats.hits > 0, "interior shards repeat their windows");
     }
 
     #[test]
@@ -795,7 +874,7 @@ mod tests {
             }])
             .unwrap();
         let plan = ShardPlan::new(32, 32).unwrap();
-        let report = shard_wer_campaign(
+        let report = fresh_shard(
             &dev,
             Nanometer::new(70.0),
             &grid,
@@ -822,7 +901,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         let plan = ShardPlan::new(16, 8).unwrap();
         let run = |plan: &ShardPlan, cfg: &ArrayWerConfig| {
-            shard_wer_campaign(&dev, Nanometer::new(70.0), &grid, plan, 0, cfg, &pool)
+            fresh_shard(&dev, Nanometer::new(70.0), &grid, plan, 0, cfg, &pool)
         };
         // Plan/grid mismatch.
         assert!(run(&ShardPlan::new(32, 8).unwrap(), &config(8)).is_err());
@@ -870,7 +949,7 @@ mod tests {
             },
             cfg(1.0, 10.0, 0),
         ] {
-            let run = shard_wer_campaign(
+            let run = fresh_shard(
                 &device(),
                 Nanometer::new(70.0),
                 &grid,
