@@ -151,32 +151,14 @@ impl CellArray {
     /// Returns [`ArrayError::InvalidAddress`] when out of range.
     pub fn neighborhood(&self, row: usize, col: usize) -> Result<NeighborhoodPattern, ArrayError> {
         self.check(row, col)?;
-        let r = row as isize;
-        let c = col as isize;
-        // C0..C3 direct (E, W, S, N), C4..C7 diagonals — symmetric
-        // positions, so the exact ordering inside each group is
-        // irrelevant to the field.
-        let offsets: [(isize, isize); 8] = [
-            (0, 1),
-            (0, -1),
-            (1, 0),
-            (-1, 0),
-            (1, 1),
-            (1, -1),
-            (-1, 1),
-            (-1, -1),
-        ];
-        let mut bits = 0u8;
-        for (i, (dr, dc)) in offsets.into_iter().enumerate() {
-            let (nr, nc) = (r + dr, c + dc);
-            if nr >= 0 && nr < self.rows as isize && nc >= 0 && nc < self.cols as isize {
-                let state = self.bits[(nr as usize) * self.cols + nc as usize];
-                if state.to_bit() {
-                    bits |= 1 << i;
-                }
+        Ok(NeighborhoodPattern::from_fn(|di, dj| {
+            let (r, c) = (row as isize + di as isize, col as isize + dj as isize);
+            if r < 0 || c < 0 || r as usize >= self.rows || c as usize >= self.cols {
+                MtjState::Parallel
+            } else {
+                self.bits[r as usize * self.cols + c as usize]
             }
-        }
-        Ok(NeighborhoodPattern::new(bits))
+        }))
     }
 
     /// Iterates over all `(row, col)` addresses in row-major order.

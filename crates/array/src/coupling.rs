@@ -124,8 +124,7 @@ impl CouplingAnalyzer {
     /// The physical decomposition behind Fig. 4a.
     #[must_use]
     pub fn breakdown(&self) -> InterFieldBreakdown {
-        let direct = self.kernel.direct();
-        let diagonal = self.kernel.diagonal();
+        let [direct, diagonal] = self.kernel.ring_one();
         InterFieldBreakdown {
             fixed_total: Oersted::new(
                 4.0 * (direct.fixed_hz + diagonal.fixed_hz) * OERSTED_PER_AMPERE_PER_METER,
@@ -278,7 +277,7 @@ mod tests {
         let pitch = Nanometer::new(90.0);
         let hz_at = |x: f64, y: f64| -> f64 {
             stack
-                .fixed_sources_at(device.ecd(), x, y)
+                .fixed_kinds_at(device.ecd(), x, y)
                 .unwrap()
                 .iter()
                 .map(|s| s.hz(Vec3::ZERO))

@@ -101,23 +101,7 @@ impl GridClass {
     /// `CellArray::neighborhood` bit order.
     #[must_use]
     pub fn np(&self) -> NeighborhoodPattern {
-        let ring1: [(i32, i32); 8] = [
-            (0, 1),
-            (0, -1),
-            (1, 0),
-            (-1, 0),
-            (1, 1),
-            (1, -1),
-            (-1, 1),
-            (-1, -1),
-        ];
-        let mut bits = 0u8;
-        for (i, (di, dj)) in ring1.into_iter().enumerate() {
-            if self.state_at(di, dj) == MtjState::AntiParallel {
-                bits |= 1 << i;
-            }
-        }
-        NeighborhoodPattern::new(bits)
+        NeighborhoodPattern::from_fn(|di, dj| self.state_at(di, dj))
     }
 }
 

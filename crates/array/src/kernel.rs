@@ -1,47 +1,55 @@
-//! The shared stray-field kernel: per-`(device, pitch)` precomputed
-//! aggressor fields, memoised in a content-addressed cache.
+//! The stray-field kernel: per-`(device, pitch)` precomputed aggressor
+//! fields out to a ring radius, memoised in a content-addressed cache.
 //!
 //! Every array-level quantity — the Fig. 4a pattern table, the Ψ-vs-pitch
-//! sweeps, the coupling-aware fault simulator — needs the same three
-//! numbers per aggressor offset: the fixed-layer (RL + HL) `Hz` at the
-//! victim FL centre and the FL `Hz` for the P and AP data states. Those
-//! numbers cost a full Biot–Savart superposition each (hundreds of
-//! segments per loop), but depend only on the device stack, the eCD and
-//! the relative offset. [`StrayFieldKernel`] computes them once and a
-//! process-wide table keyed by an FNV-1a content address (the same
-//! hashing approach as the engine's result cache) serves every later
-//! analyzer, simulator, and sweep point for free. The same table holds
-//! the [`HierarchicalKernel`](crate::HierarchicalKernel)s, and builds
-//! each missing kernel once: concurrent requests for it wait for the
-//! one build instead of repeating it.
+//! sweeps, the window-class campaigns — needs the same three numbers per
+//! aggressor offset: the fixed-layer (RL + HL) `Hz` at the victim FL
+//! centre and the FL `Hz` for the P and AP data states. Those numbers
+//! cost a full Biot–Savart superposition each (hundreds of segments per
+//! loop), but depend only on the device stack, the eCD and the lattice
+//! offset. [`StrayFieldKernel`] computes them once and a process-wide
+//! table keyed by an FNV-1a content address (the same hashing approach
+//! as the engine's result cache) serves every later analyzer, sweep
+//! point and campaign shard for free. The table builds each missing
+//! kernel once: concurrent requests for it wait for the one build
+//! instead of repeating it.
 
-use crate::{diagonal_neighbor_offsets, direct_neighbor_offsets, ArrayError};
+use crate::hierarchy::{tail_coeff, RingTable};
+use crate::{ArrayError, NeighborhoodPattern, PatternClass};
 use mramsim_magnetics::FieldSource;
 use mramsim_mtj::{MtjDevice, MtjState};
 use mramsim_numerics::hash::fnv1a;
 use mramsim_numerics::Vec3;
-use mramsim_units::Nanometer;
-use std::any::Any;
+use mramsim_units::constants::OERSTED_PER_AMPERE_PER_METER;
+use mramsim_units::{Nanometer, Oersted};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// The three per-offset field contributions of one aggressor cell, all
-/// in A/m at the victim FL centre.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OffsetField {
-    /// Relative aggressor offset `(x, y)` in metres.
-    pub offset: (f64, f64),
+/// The three field contributions of one aggressor, all in A/m at the
+/// victim FL centre.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct LatticeField {
     /// Fixed-layer (RL + HL) contribution — data-independent.
-    pub fixed_hz: f64,
+    pub(crate) fixed_hz: f64,
     /// FL contribution when the aggressor stores P.
-    pub fl_p_hz: f64,
+    pub(crate) fl_p_hz: f64,
     /// FL contribution when the aggressor stores AP.
-    pub fl_ap_hz: f64,
+    pub(crate) fl_ap_hz: f64,
 }
 
-/// Hit/miss counters of the process-wide kernel cache (ring-1 and
-/// hierarchical kernels alike).
+impl LatticeField {
+    /// The contribution under a concrete stored state.
+    pub(crate) fn hz(&self, state: MtjState) -> f64 {
+        self.fixed_hz
+            + match state {
+                MtjState::Parallel => self.fl_p_hz,
+                MtjState::AntiParallel => self.fl_ap_hz,
+            }
+    }
+}
+
+/// Hit/miss counters of the process-wide kernel cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelCacheStats {
     /// Kernels served from the cache.
@@ -53,9 +61,13 @@ pub struct KernelCacheStats {
 }
 
 /// Precomputed stray-field data for one `(device, pitch)` pair: the
-/// victim's own intra-cell field plus one [`OffsetField`] per
-/// representative ring-1 offset (one direct, one diagonal — the other
-/// six follow by the square-lattice symmetry).
+/// victim's own intra-cell field, ring 1 as one representative direct
+/// and one diagonal aggressor (the other six follow by the
+/// square-lattice symmetry), and the outer rings out to
+/// [`Self::radius`]: ring `k ≥ 2` keeps the fields at its `k + 1`
+/// canonical offsets `(k, b)`, which serve all `8k` of its cells.
+/// [`Self::tail_bound`] bounds the field left out beyond the outermost
+/// ring, so [`Self::for_tolerance`] can grow rings to an accuracy.
 ///
 /// # Examples
 ///
@@ -74,14 +86,19 @@ pub struct KernelCacheStats {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrayFieldKernel {
-    fingerprint: String,
+    fingerprint: Box<str>,
+    pitch: Nanometer,
     intra_hz: f64,
-    direct: OffsetField,
-    diagonal: OffsetField,
+    /// Ring 1 at the canonical lattice offsets `(1, 0)` and `(1, 1)`.
+    ring1: [LatticeField; 2],
+    /// Rings `2..=radius`, innermost first.
+    outer: Vec<RingTable>,
+    /// Dipole coefficient `c₃` \[A·m²\] of the outermost ring.
+    tail_coeff: f64,
 }
 
 impl StrayFieldKernel {
-    /// Computes the kernel directly, bypassing the cache.
+    /// Computes the radius-1 kernel directly, bypassing the cache.
     ///
     /// # Errors
     ///
@@ -89,14 +106,86 @@ impl StrayFieldKernel {
     ///   overlap) or is non-finite.
     /// * [`ArrayError::Device`] if loop construction fails.
     pub fn compute(device: &MtjDevice, pitch: Nanometer) -> Result<Self, ArrayError> {
-        Self::compute_with_fingerprint(device, pitch, fingerprint(device, pitch))
+        Self::for_tolerance(device, pitch, RING_ONE, 1)
     }
 
-    fn compute_with_fingerprint(
+    /// The memoised radius-1 kernel for a `(device, pitch)` pair: served
+    /// from the process-wide content-addressed table when present,
+    /// computed and inserted otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`StrayFieldKernel::compute`].
+    pub fn shared(device: &MtjDevice, pitch: Nanometer) -> Result<Arc<Self>, ArrayError> {
+        shared_kernel(fingerprint(device, pitch), |fp| {
+            Self::build(device, pitch, RING_ONE, 1, fp)
+        })
+    }
+
+    /// Grows rings until the a-priori tail bound drops to `tol` or the
+    /// radius reaches `max_radius`, whichever comes first. The kernel
+    /// is returned either way; check [`Self::tol_met`] to learn whether
+    /// the accuracy request was satisfied within the radius cap.
+    ///
+    /// # Errors
+    ///
+    /// [`ArrayError::InvalidParameter`] for a non-positive or
+    /// non-finite `tol`, `max_radius == 0`, or an invalid pitch.
+    pub fn for_tolerance(
         device: &MtjDevice,
         pitch: Nanometer,
-        fingerprint: String,
+        tol: Oersted,
+        max_radius: usize,
     ) -> Result<Self, ArrayError> {
+        Self::build(
+            device,
+            pitch,
+            tol,
+            max_radius,
+            fingerprint(device, pitch).into(),
+        )
+    }
+
+    /// The memoised tolerance-driven kernel: keyed by
+    /// `(device, pitch, tol, max_radius)` so repeated campaign shards
+    /// reuse one table.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::for_tolerance`].
+    pub fn shared_for_tolerance(
+        device: &MtjDevice,
+        pitch: Nanometer,
+        tol: Oersted,
+        max_radius: usize,
+    ) -> Result<Arc<Self>, ArrayError> {
+        let fp = format!(
+            "{}tol={:016x};max_radius={max_radius};",
+            fingerprint(device, pitch),
+            tol.value().to_bits()
+        );
+        shared_kernel(fp, |fp| Self::build(device, pitch, tol, max_radius, fp))
+    }
+
+    fn build(
+        device: &MtjDevice,
+        pitch: Nanometer,
+        tol: Oersted,
+        max_radius: usize,
+        fingerprint: Box<str>,
+    ) -> Result<Self, ArrayError> {
+        if !tol.value().is_finite() || tol.value() <= 0.0 {
+            return Err(ArrayError::InvalidParameter {
+                name: "field_tol",
+                message: format!("field tolerance must be positive and finite, got {tol:?}"),
+            });
+        }
+        if max_radius == 0 {
+            return Err(ArrayError::InvalidParameter {
+                name: "max_radius",
+                message: "maximum radius must be at least 1".to_owned(),
+            });
+        }
         if !pitch.is_finite() || pitch.value() < device.ecd().value() {
             return Err(ArrayError::InvalidParameter {
                 name: "pitch",
@@ -106,34 +195,34 @@ impl StrayFieldKernel {
                 ),
             });
         }
-        // Only actual builds get a span — cache hits in `shared` never
-        // reach here, so traces show real kernel work, not lookups.
+        // Only actual builds get a span — cache hits never reach here,
+        // so traces show real kernel work, not lookups.
         let _span = mramsim_telemetry::span_tree("kernel.build");
-        let (dx, dy) = direct_neighbor_offsets(pitch)[0];
-        let (gx, gy) = diagonal_neighbor_offsets(pitch)[0];
-        Ok(Self {
+        let p = pitch.to_meter().value();
+        let ring1 = [
+            offset_field_at(device, p, 1, 0)?,
+            offset_field_at(device, p, 1, 1)?,
+        ];
+        let mut kernel = Self {
             fingerprint,
+            pitch,
             intra_hz: device
                 .stack()
                 .intra_hz_at(device.ecd(), Vec3::ZERO)?
                 .value(),
-            direct: offset_field_at(device, dx, dy)?,
-            diagonal: offset_field_at(device, gx, gy)?,
-        })
-    }
-
-    /// The memoised kernel for a `(device, pitch)` pair: served from the
-    /// process-wide content-addressed table when present, computed and
-    /// inserted otherwise.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`StrayFieldKernel::compute`].
-    pub fn shared(device: &MtjDevice, pitch: Nanometer) -> Result<Arc<Self>, ArrayError> {
-        let fp = fingerprint(device, pitch);
-        shared_kernel(&fp, || {
-            Self::compute_with_fingerprint(device, pitch, fp.clone())
-        })
+            ring1,
+            outer: Vec::new(),
+            tail_coeff: tail_coeff(1, &ring1, p),
+        };
+        while kernel.radius() < max_radius && !kernel.tol_met(tol) {
+            let k = kernel.radius() as i32 + 1;
+            let canon = (0..=k)
+                .map(|b| offset_field_at(device, p, k, b))
+                .collect::<Result<Vec<_>, _>>()?;
+            kernel.tail_coeff = tail_coeff(k, &canon, p);
+            kernel.outer.push(RingTable::new(canon));
+        }
+        Ok(kernel)
     }
 
     /// The canonical fingerprint the cache keys on.
@@ -149,39 +238,39 @@ impl StrayFieldKernel {
         self.intra_hz
     }
 
-    /// The representative *direct* aggressor contribution.
-    #[must_use]
-    pub fn direct(&self) -> OffsetField {
-        self.direct
+    /// The representative direct and diagonal ring-1 aggressors.
+    pub(crate) fn ring_one(&self) -> [LatticeField; 2] {
+        self.ring1
     }
 
-    /// The representative *diagonal* aggressor contribution.
+    /// Number of rings in the kernel.
     #[must_use]
-    pub fn diagonal(&self) -> OffsetField {
-        self.diagonal
+    pub fn radius(&self) -> usize {
+        self.outer.len() + 1
     }
 
     /// `Hz_s_inter` \[A/m\] for a symmetry class: the fixed-layer
     /// baseline of all 8 aggressors plus the data-dependent FL terms.
     ///
     /// This is the one place the NP8 → field arithmetic lives;
-    /// `CouplingAnalyzer` and the dynamics' kernel-pattern applied
-    /// fields both delegate here, so the analytic and Monte-Carlo
-    /// paths see bit-identical stray fields.
+    /// `CouplingAnalyzer` and the window evaluation below both delegate
+    /// here, so the analytic and Monte-Carlo paths see bit-identical
+    /// stray fields.
     #[must_use]
-    pub fn inter_hz_class(&self, class: crate::PatternClass) -> f64 {
+    pub fn inter_hz_class(&self, class: PatternClass) -> f64 {
+        let [direct, diagonal] = &self.ring1;
         let nd = f64::from(class.direct_ones);
         let ng = f64::from(class.diagonal_ones);
-        4.0 * (self.direct.fixed_hz + self.diagonal.fixed_hz)
-            + nd * self.direct.fl_ap_hz
-            + (4.0 - nd) * self.direct.fl_p_hz
-            + ng * self.diagonal.fl_ap_hz
-            + (4.0 - ng) * self.diagonal.fl_p_hz
+        4.0 * (direct.fixed_hz + diagonal.fixed_hz)
+            + nd * direct.fl_ap_hz
+            + (4.0 - nd) * direct.fl_p_hz
+            + ng * diagonal.fl_ap_hz
+            + (4.0 - ng) * diagonal.fl_p_hz
     }
 
     /// `Hz_s_inter` \[A/m\] for a full neighbourhood pattern.
     #[must_use]
-    pub fn inter_hz(&self, np: crate::NeighborhoodPattern) -> f64 {
+    pub fn inter_hz(&self, np: NeighborhoodPattern) -> f64 {
         self.inter_hz_class(np.class())
     }
 
@@ -189,20 +278,74 @@ impl StrayFieldKernel {
     /// neighbourhood pattern: `Hz_s_intra + Hz_s_inter(NP8)` — the
     /// Eq. 2 / Eq. 5 input.
     #[must_use]
-    pub fn total_hz(&self, np: crate::NeighborhoodPattern) -> f64 {
+    pub fn total_hz(&self, np: NeighborhoodPattern) -> f64 {
         self.intra_hz + self.inter_hz(np)
+    }
+
+    /// `Hz_s_inter` \[A/m\] for a victim whose neighbourhood out to
+    /// [`Self::radius`] is given by `state_of(di, dj)` (lattice
+    /// offsets; the caller supplies its out-of-array convention).
+    ///
+    /// Ring 1 goes through the NP8 arithmetic; outer rings accumulate
+    /// per cell in a fixed scan order, so the result is a pure function
+    /// of the window content.
+    #[must_use]
+    pub fn inter_hz_window(&self, state_of: &dyn Fn(i32, i32) -> MtjState) -> f64 {
+        let mut total = self.inter_hz(NeighborhoodPattern::from_fn(state_of));
+        for ring in &self.outer {
+            ring.for_each_cell(|di, dj, field| total += field.hz(state_of(di, dj)));
+        }
+        total
+    }
+
+    /// Total stray field \[A/m\] — `Hz_s_intra` plus the windowed
+    /// inter term.
+    #[must_use]
+    pub fn total_hz_window(&self, state_of: &dyn Fn(i32, i32) -> MtjState) -> f64 {
+        self.intra_hz + self.inter_hz_window(state_of)
+    }
+
+    /// `Hz_s_inter` \[A/m\] under uniform data in `state` — the
+    /// collapsed interior-cell evaluation: ring 1 via the NP8
+    /// arithmetic (ALL_P / ALL_AP) plus the outer rings' sums.
+    #[must_use]
+    pub fn uniform_inter_hz(&self, state: MtjState) -> f64 {
+        let np = match state {
+            MtjState::Parallel => NeighborhoodPattern::ALL_P,
+            MtjState::AntiParallel => NeighborhoodPattern::ALL_AP,
+        };
+        let mut total = self.inter_hz(np);
+        for ring in &self.outer {
+            total += ring.uniform.hz(state);
+        }
+        total
+    }
+
+    /// A-priori bound on `|Hz|` omitted beyond [`Self::radius`]:
+    /// `8c₃ / (p³·R)` in oersted.
+    #[must_use]
+    pub fn tail_bound(&self) -> Oersted {
+        let p = self.pitch.to_meter().value();
+        let r = self.radius() as f64;
+        Oersted::new(8.0 * self.tail_coeff / (p.powi(3) * r) * OERSTED_PER_AMPERE_PER_METER)
+    }
+
+    /// Whether the truncation tail is within `tol`.
+    #[must_use]
+    pub fn tol_met(&self, tol: Oersted) -> bool {
+        self.tail_bound().value() <= tol.value()
     }
 }
 
-/// The three field contributions of one aggressor at relative offset
-/// `(x, y)` metres — one full Biot–Savart superposition per layer kind.
-/// Shared by the ring-1 kernel above and the hierarchical outer-ring
-/// tables, so every radius uses the identical arithmetic.
-pub(crate) fn offset_field_at(
-    device: &MtjDevice,
-    x: f64,
-    y: f64,
-) -> Result<OffsetField, ArrayError> {
+/// Any tolerance serves a radius-1 build: `max_radius = 1` stops it.
+const RING_ONE: Oersted = Oersted::new(f64::MAX);
+
+/// The three field contributions of the aggressor at lattice offset
+/// `(k, b)` on a square lattice of pitch `p` metres — one full
+/// Biot–Savart superposition per layer kind. Every ring of the kernel
+/// goes through here, so every radius uses the identical arithmetic.
+fn offset_field_at(device: &MtjDevice, p: f64, k: i32, b: i32) -> Result<LatticeField, ArrayError> {
+    let (x, y) = (f64::from(k) * p, f64::from(b) * p);
     let victim = Vec3::ZERO;
     let ecd = device.ecd();
     let stack = device.stack();
@@ -215,8 +358,7 @@ pub(crate) fn offset_field_at(
     let fl_ap_hz = stack
         .fl_kind_at(ecd, x, y, MtjState::AntiParallel)?
         .hz(victim);
-    Ok(OffsetField {
-        offset: (x, y),
+    Ok(LatticeField {
         fixed_hz,
         fl_p_hz,
         fl_ap_hz,
@@ -226,7 +368,7 @@ pub(crate) fn offset_field_at(
 /// Canonical, bit-exact fingerprint of everything the kernel depends on:
 /// pitch, eCD, the field-model knobs (segments, backend) and every layer
 /// of the stack.
-pub(crate) fn fingerprint(device: &MtjDevice, pitch: Nanometer) -> String {
+fn fingerprint(device: &MtjDevice, pitch: Nanometer) -> String {
     use std::fmt::Write as _;
     let stack = device.stack();
     let mut fp = String::with_capacity(160);
@@ -251,9 +393,8 @@ pub(crate) fn fingerprint(device: &MtjDevice, pitch: Nanometer) -> String {
     fp
 }
 
-/// The process-wide kernel table: built kernels of every kind under an
-/// FNV-1a digest of their canonical fingerprint, plus the keys being
-/// built right now.
+/// The process-wide kernel table: built kernels under an FNV-1a digest
+/// of their canonical fingerprint, plus the keys being built right now.
 struct KernelTable {
     state: Mutex<TableState>,
     /// Signalled whenever a build ends, built or failed.
@@ -264,21 +405,8 @@ struct KernelTable {
 
 #[derive(Default)]
 struct TableState {
-    built: HashMap<u64, Arc<dyn Kernel>>,
+    built: HashMap<u64, Arc<StrayFieldKernel>>,
     building: HashSet<u64>,
-}
-
-/// What the kernel table holds: a kernel that carries the full
-/// fingerprint it was built for, the table's collision guard.
-pub(crate) trait Kernel: Any + Send + Sync {
-    /// The exact fingerprint the kernel is stored under.
-    fn fingerprint(&self) -> &str;
-}
-
-impl Kernel for StrayFieldKernel {
-    fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
 }
 
 impl KernelTable {
@@ -313,29 +441,24 @@ fn table() -> &'static KernelTable {
     })
 }
 
-/// The shared kernel for fingerprint `fp`, built by `build` (whose
-/// kernel must carry `fp`) when the table lacks it. While one request
-/// builds a key, the others for that key wait and are then served its
-/// kernel; a failed build is not stored, so the next request tries
-/// again.
-pub(crate) fn shared_kernel<T: Kernel>(
-    fp: &str,
-    build: impl FnOnce() -> Result<T, ArrayError>,
-) -> Result<Arc<T>, ArrayError> {
+/// The shared kernel for fingerprint `fp`, built by `build` (handed
+/// `fp` for the kernel to carry) when the table lacks it. While one
+/// request builds a key, the others for that key wait and are then
+/// served its kernel; a failed build is not stored, so the next request
+/// tries again.
+fn shared_kernel(
+    fp: String,
+    build: impl FnOnce(Box<str>) -> Result<StrayFieldKernel, ArrayError>,
+) -> Result<Arc<StrayFieldKernel>, ArrayError> {
     let table = table();
     let key = fnv1a(fp.as_bytes());
     let mut state = table.lock();
     loop {
         // Guard against an FNV collision: a hit must carry the exact
         // fingerprint, not just the same 64-bit digest.
-        if let Some(kernel) = state.built.get(&key) {
-            if kernel.fingerprint() == fp {
-                let kernel: Arc<dyn Any + Send + Sync> = kernel.clone();
-                if let Ok(kernel) = kernel.downcast::<T>() {
-                    table.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(kernel);
-                }
-            }
+        if let Some(kernel) = state.built.get(&key).filter(|k| k.fingerprint() == fp) {
+            table.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(kernel));
         }
         if !state.building.contains(&key) {
             break;
@@ -349,16 +472,13 @@ pub(crate) fn shared_kernel<T: Kernel>(
     drop(state);
     table.misses.fetch_add(1, Ordering::Relaxed);
     let flight = Flight { table, key };
-    let kernel = Arc::new(build()?);
-    debug_assert_eq!(kernel.fingerprint(), fp);
-    table.lock().built.insert(key, Arc::clone(&kernel) as _);
+    let kernel = Arc::new(build(fp.into_boxed_str())?);
+    table.lock().built.insert(key, Arc::clone(&kernel));
     drop(flight);
     Ok(kernel)
 }
 
-/// Current counters of the process-wide kernel table — ring-1 and
-/// hierarchical kernels reported as one pool (both are
-/// `(device, pitch)`-keyed field precomputations).
+/// Current counters of the process-wide kernel table.
 #[must_use]
 pub fn kernel_cache_stats() -> KernelCacheStats {
     let table = table();
@@ -369,9 +489,9 @@ pub fn kernel_cache_stats() -> KernelCacheStats {
     }
 }
 
-/// Drops every memoised kernel — ring-1 and hierarchical (counters keep
-/// accumulating). Used by cold-cache benchmarks and long-running
-/// services that change device populations wholesale.
+/// Drops every memoised kernel (counters keep accumulating). Used by
+/// cold-cache benchmarks and long-running services that change device
+/// populations wholesale.
 pub fn clear_kernel_cache() {
     table().lock().built.clear();
 }
@@ -379,6 +499,7 @@ pub fn clear_kernel_cache() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::direct_neighbor_offsets;
     use mramsim_mtj::presets;
 
     fn device(ecd: f64) -> MtjDevice {
@@ -398,7 +519,7 @@ mod tests {
             .iter()
             .map(|s| s.hz(Vec3::ZERO))
             .sum();
-        assert_eq!(kernel.direct().fixed_hz, fixed);
+        assert_eq!(kernel.ring_one()[0].fixed_hz, fixed);
         assert_eq!(
             kernel.intra_hz(),
             dev.stack()
@@ -437,30 +558,21 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint());
     }
 
-    /// A stand-in kernel: its fingerprint and a value.
-    #[derive(Debug, PartialEq)]
-    struct Probe(&'static str, u64);
-
-    impl Kernel for Probe {
-        fn fingerprint(&self) -> &str {
-            self.0
-        }
-    }
-
     #[test]
     fn concurrent_requests_for_a_new_kernel_share_one_build() {
+        let dev = device(35.0);
         let builds = AtomicU64::new(0);
         let barrier = std::sync::Barrier::new(8);
         let fp = "test=single-flight;";
-        let kernels: Vec<Arc<Probe>> = std::thread::scope(|scope| {
+        let kernels: Vec<Arc<StrayFieldKernel>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        shared_kernel(fp, || {
+                        shared_kernel(fp.to_owned(), |fp| {
                             builds.fetch_add(1, Ordering::Relaxed);
                             std::thread::sleep(std::time::Duration::from_millis(20));
-                            Ok(Probe(fp, 42))
+                            StrayFieldKernel::build(&dev, Nanometer::new(70.0), RING_ONE, 1, fp)
                         })
                         .unwrap()
                     })
@@ -474,17 +586,29 @@ mod tests {
 
     #[test]
     fn failed_builds_are_not_stored() {
+        let dev = &device(35.0);
         let fp = "test=failed-build;";
-        let failed = shared_kernel::<Probe>(fp, || {
-            Err(ArrayError::InvalidParameter {
-                name: "test",
-                message: "refused".to_owned(),
-            })
-        });
+        let at = |pitch: f64| {
+            move |fp| StrayFieldKernel::build(dev, Nanometer::new(pitch), RING_ONE, 1, fp)
+        };
+        // Overlapping cells: the build fails.
+        let failed = shared_kernel(fp.to_owned(), at(20.0));
         assert!(failed.is_err());
-        let retried = shared_kernel(fp, || Ok(Probe(fp, 7))).unwrap();
-        assert_eq!(retried.1, 7);
-        assert_eq!(shared_kernel(fp, || Ok(Probe(fp, 8))).unwrap().1, 7);
+        let retried = shared_kernel(fp.to_owned(), at(70.0)).unwrap();
+        assert_eq!(retried.pitch, Nanometer::new(70.0));
+        let again = shared_kernel(fp.to_owned(), at(80.0)).unwrap();
+        assert_eq!(again.pitch, Nanometer::new(70.0));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn radius_one_kernels_do_not_grow() {
+        // A service holds one radius-1 kernel per design point it has
+        // seen, tens of thousands of them: ring 1 stays inline and the
+        // empty outer-ring table allocates nothing.
+        assert_eq!(std::mem::size_of::<StrayFieldKernel>(), 112);
+        let kernel = StrayFieldKernel::compute(&device(35.0), Nanometer::new(70.0)).unwrap();
+        assert_eq!(kernel.outer.capacity(), 0);
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //!
 //! `Ψ = max-variation(Hz_s_inter) / Hc`.
 //!
+//! Every field goes through one [`StrayFieldKernel`] per design point,
+//! memoised process-wide. Ring 1 is the paper's 3×3 sum; a kernel built
+//! for a field tolerance also carries outer rings and an a-priori bound
+//! on the tail beyond them, for the window-class campaigns of
+//! `mramsim-faults`. [`ExtendedCoupling`] is the per-offset ring ledger
+//! those outer rings are checked against.
+//!
 //! # Examples
 //!
 //! ```
@@ -53,10 +60,8 @@ pub use density::{array_density_bits_per_um2, ArrayDensity};
 pub use error::ArrayError;
 pub use geometry::{diagonal_neighbor_offsets, direct_neighbor_offsets, ring_offsets};
 pub use grid::{Defect, GridClass, PatternGrid};
-pub use hierarchy::{HierarchicalKernel, LatticeField, RingTable};
-pub use kernel::{
-    clear_kernel_cache, kernel_cache_stats, KernelCacheStats, OffsetField, StrayFieldKernel,
-};
+pub use hierarchy::HierarchicalKernel;
+pub use kernel::{clear_kernel_cache, kernel_cache_stats, KernelCacheStats, StrayFieldKernel};
 pub use pattern::{NeighborhoodPattern, PatternClass};
 pub use rings::ExtendedCoupling;
 pub use sweep::{max_density_pitch, psi_vs_pitch, psi_vs_pitch_on, PsiPoint};

@@ -47,6 +47,33 @@ impl NeighborhoodPattern {
         self.0
     }
 
+    /// The pattern around a victim whose aggressor at lattice offset
+    /// `(di, dj)` (rows down, columns right) stores `state_of(di, dj)`.
+    ///
+    /// The one home of the NP8 bit order: `C0–C3` are the direct
+    /// neighbours E, W, S, N and `C4–C7` the diagonals. Positions within
+    /// a group are symmetric, so their order does not change the field.
+    #[must_use]
+    pub fn from_fn(state_of: impl Fn(i32, i32) -> MtjState) -> Self {
+        const OFFSETS: [(i32, i32); 8] = [
+            (0, 1),
+            (0, -1),
+            (1, 0),
+            (-1, 0),
+            (1, 1),
+            (1, -1),
+            (-1, 1),
+            (-1, -1),
+        ];
+        let mut bits = 0u8;
+        for (i, (di, dj)) in OFFSETS.into_iter().enumerate() {
+            if state_of(di, dj).to_bit() {
+                bits |= 1 << i;
+            }
+        }
+        Self(bits)
+    }
+
     /// The state stored in aggressor `Cᵢ`.
     ///
     /// # Panics

@@ -1,4 +1,4 @@
-//! Property tests for the ring-truncated hierarchical kernel and the
+//! Property tests for the ring-truncated stray-field kernel and the
 //! window-class extraction: across random device sizes, pitches, and
 //! stored-state patterns, the truncated inter-cell sum must agree with a
 //! much deeper extended sum to within the kernel's advertised a-priori
@@ -6,19 +6,25 @@
 //! `PatternGrid::shard_classes` must equal a cell-by-cell oracle.
 
 use mramsim_array::{
-    DataPattern, Defect, ExtendedCoupling, GridClass, HierarchicalKernel, PatternGrid,
+    DataPattern, Defect, ExtendedCoupling, GridClass, PatternGrid, StrayFieldKernel,
 };
-use mramsim_mtj::{presets, MtjState};
+use mramsim_mtj::{presets, MtjDevice, MtjState};
 use mramsim_numerics::hash::fnv1a;
 use mramsim_units::constants::OERSTED_PER_AMPERE_PER_METER;
-use mramsim_units::Nanometer;
+use mramsim_units::{Nanometer, Oersted};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// The ring-1 representative-collapse slack: the base kernel stands all
+/// The ring-1 representative-collapse slack: the kernel stands all
 /// eight first-ring neighbours on two polygon-loop evaluations, which
 /// agree with the per-offset sums to well under this many oersted.
 const SYMMETRY_SLACK_OE: f64 = 0.1;
+
+/// The kernel with exactly `radius` rings: a tolerance no radius
+/// reaches stops the growth at the cap.
+fn at_radius(device: &MtjDevice, pitch: Nanometer, radius: usize) -> StrayFieldKernel {
+    StrayFieldKernel::for_tolerance(device, pitch, Oersted::new(1e-12), radius).unwrap()
+}
 
 /// A deterministic pseudo-random stored-state assignment over the whole
 /// lattice, derived from the draw's seed — every offset gets an
@@ -53,8 +59,8 @@ proptest! {
     ) {
         let device = presets::imec_like(Nanometer::new(ecd)).unwrap();
         let pitch = Nanometer::new(ratio * ecd);
-        let truncated = HierarchicalKernel::compute(&device, pitch, radius).unwrap();
-        let deep = HierarchicalKernel::compute(&device, pitch, radius + 6).unwrap();
+        let truncated = at_radius(&device, pitch, radius);
+        let deep = at_radius(&device, pitch, radius + 6);
         let pattern = pattern_of(seed);
         let err_oe = OERSTED_PER_AMPERE_PER_METER
             * (deep.inter_hz_window(&pattern) - truncated.inter_hz_window(&pattern)).abs();
@@ -67,7 +73,7 @@ proptest! {
         );
     }
 
-    /// The hierarchical uniform aggregate reproduces the extended
+    /// The kernel's uniform aggregate reproduces the extended
     /// per-ring ledger — two independent summation orders over the same
     /// Biot–Savart stack.
     #[test]
@@ -78,7 +84,7 @@ proptest! {
     ) {
         let device = presets::imec_like(Nanometer::new(ecd)).unwrap();
         let pitch = Nanometer::new(ratio * ecd);
-        let kernel = HierarchicalKernel::compute(&device, pitch, radius).unwrap();
+        let kernel = at_radius(&device, pitch, radius);
         let ext = ExtendedCoupling::new(device, pitch).unwrap();
         for state in [MtjState::Parallel, MtjState::AntiParallel] {
             let uniform_oe = OERSTED_PER_AMPERE_PER_METER * kernel.uniform_inter_hz(state);
@@ -100,12 +106,7 @@ proptest! {
         let device = presets::imec_like(Nanometer::new(ecd)).unwrap();
         let pitch = Nanometer::new(ratio * ecd);
         let bounds: Vec<f64> = (1..=4)
-            .map(|r| {
-                HierarchicalKernel::compute(&device, pitch, r)
-                    .unwrap()
-                    .tail_bound()
-                    .value()
-            })
+            .map(|r| at_radius(&device, pitch, r).tail_bound().value())
             .collect();
         for pair in bounds.windows(2) {
             prop_assert!(

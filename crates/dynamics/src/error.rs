@@ -14,8 +14,6 @@ pub enum DynamicsError {
     },
     /// A device-model evaluation failed (thermal domain, construction).
     Mtj(mramsim_mtj::MtjError),
-    /// An array-level stray-field evaluation failed.
-    Array(mramsim_array::ArrayError),
     /// A numerics routine rejected its input (histogram ranges, …).
     Numerics(mramsim_numerics::NumericsError),
 }
@@ -27,7 +25,6 @@ impl fmt::Display for DynamicsError {
                 write!(f, "invalid parameter {name}: {message}")
             }
             Self::Mtj(e) => write!(f, "device model: {e}"),
-            Self::Array(e) => write!(f, "array model: {e}"),
             Self::Numerics(e) => write!(f, "numerics: {e}"),
         }
     }
@@ -38,12 +35,6 @@ impl std::error::Error for DynamicsError {}
 impl From<mramsim_mtj::MtjError> for DynamicsError {
     fn from(e: mramsim_mtj::MtjError) -> Self {
         Self::Mtj(e)
-    }
-}
-
-impl From<mramsim_array::ArrayError> for DynamicsError {
-    fn from(e: mramsim_array::ArrayError) -> Self {
-        Self::Array(e)
     }
 }
 

@@ -10,10 +10,9 @@
 //!
 //! * [`MacrospinParams`] — calibrated LLGS coefficients per
 //!   `(device, direction, temperature)` operating point; applied fields
-//!   accept raw oersted values, any [`mramsim_magnetics::SourceKind`],
-//!   or a cached [`mramsim_array::StrayFieldKernel`] neighbourhood
-//!   pattern (see [`crate::llgs`] for the model and the calibration
-//!   contract),
+//!   enter as an oersted `Hz` or an A/m vector, so a caller with an
+//!   array stray-field kernel passes its total field (see
+//!   [`crate::llgs`] for the model and the calibration contract),
 //! * [`heun_step`] — the Stratonovich–Heun stepper on
 //!   [`mramsim_numerics::Vec3`],
 //! * [`run_ensemble`] — N replicas stepped in 16-lane SoA blocks,

@@ -49,8 +49,6 @@
 //! transients; see Imamura & Matsumoto, arXiv:1906.00593).
 
 use crate::DynamicsError;
-use mramsim_array::{NeighborhoodPattern, StrayFieldKernel};
-use mramsim_magnetics::{FieldSource, SourceKind};
 use mramsim_mtj::{MtjDevice, SwitchDirection};
 use mramsim_numerics::dist::{InitialAngle, Ziggurat};
 use mramsim_numerics::Vec3;
@@ -181,23 +179,6 @@ impl MacrospinParams {
     pub fn with_applied_field(mut self, h_apm: Vec3) -> Self {
         self.h_app += h_apm * self.field_scale;
         self
-    }
-
-    /// Adds the static field of arbitrary sources evaluated at `point`
-    /// (metres) — e.g. an aggressor neighbourhood built from
-    /// [`SourceKind`]s, or any boxed [`FieldSource`].
-    #[must_use]
-    pub fn with_sources(self, sources: &[SourceKind], point: Vec3) -> Self {
-        let total: Vec3 = sources.iter().map(|s| s.h_field(point)).sum();
-        self.with_applied_field(total)
-    }
-
-    /// Adds the total stray field (victim intra + aggressor inter) of a
-    /// cached [`StrayFieldKernel`] for one neighbourhood data pattern —
-    /// the array-aware entry point shared with `CouplingAnalyzer`.
-    #[must_use]
-    pub fn with_kernel_pattern(self, kernel: &StrayFieldKernel, np: NeighborhoodPattern) -> Self {
-        self.with_applied_field(Vec3::new(0.0, 0.0, kernel.total_hz(np)))
     }
 
     /// Every coefficient as its exact `f64` bits, the applied field
@@ -602,24 +583,6 @@ mod tests {
             crossing > 0.2 * t_mean && crossing < 3.0 * t_mean,
             "crossed at {crossing:.3e} vs mean {t_mean:.3e}"
         );
-    }
-
-    #[test]
-    fn kernel_pattern_field_matches_coupling_analyzer() {
-        let dev = device();
-        let pitch = Nanometer::new(70.0);
-        let kernel = StrayFieldKernel::shared(&dev, pitch).unwrap();
-        let analyzer = mramsim_array::CouplingAnalyzer::new(dev.clone(), pitch).unwrap();
-        for bits in [0u8, 255, 0b1010_0101] {
-            let np = NeighborhoodPattern::new(bits);
-            let base = MacrospinParams::from_device(&dev, SwitchDirection::ApToP, T300).unwrap();
-            let via_kernel = base.clone().with_kernel_pattern(&kernel, np);
-            let via_oersted = base.with_applied_hz(analyzer.total_hz(np));
-            assert!(
-                (via_kernel.applied_field().z / via_oersted.applied_field().z - 1.0).abs() < 1e-9,
-                "np={bits}"
-            );
-        }
     }
 
     #[test]

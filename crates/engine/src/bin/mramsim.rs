@@ -153,9 +153,10 @@ MONTE-CARLO DYNAMICS (s-LLGS trajectory ensembles):
 ARRAY WRITE CAMPAIGNS (per-cell Monte-Carlo fault maps):
     array-wer writes every cell of an N x M array to the complement of
     its stored pattern bit, each cell under the stray field of its own
-    neighbourhood, via per-cell s-LLGS WER ensembles. --rows/--cols/
-    --pattern/--trajectories are cache-key parameters; sweep --pitch
-    for WER-vs-density curves.
+    3x3 neighbourhood; cells with the same window share one s-LLGS WER
+    ensemble (14 for an 8x8 checkerboard). --rows/--cols/--pattern/
+    --trajectories are cache-key parameters; sweep --pitch for
+    WER-vs-density curves.
 
     mramsim run array-wer --rows 8 --cols 8 --pattern checkerboard
     mramsim sweep array-wer --pitch 60,70,90 --trajectories 256
@@ -165,8 +166,9 @@ MEGABIT CAMPAIGNS (sparse sharded array-wer-shard):
     array-wer-shard evaluates one fixed-height row band of an
     arbitrarily large grid by collapsing cells with identical
     stored-state windows into equivalence classes — one ring-truncated
-    hierarchical stray field and one Monte-Carlo ensemble per class,
-    so memory is bounded by the class count, never the grid.
+    stray field and one Monte-Carlo ensemble per class, from one
+    kernel per design point shared by every shard — so memory is
+    bounded by the class count, never the grid.
     --max_radius caps the kernel rings; --field_tol (Oe) grows rings
     until the a-priori dipole-tail bound meets it; --defects plants
     stuck cells (`row,col=P;row,col=AP`). `campaign` sweeps the

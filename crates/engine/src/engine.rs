@@ -8,12 +8,12 @@ use crate::{EngineError, ParamSet, Registry, Scenario, ScenarioOutput, SweepPlan
 use mramsim_core::report::Table;
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_telemetry as telemetry;
-use mramsim_telemetry::{Clock, TreeSpan, Value};
+use mramsim_telemetry::{TreeSpan, Value};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Default capacity of the in-memory result cache: large enough that
 /// every realistic interactive session is fully served, small enough
@@ -142,8 +142,7 @@ pub struct JobEvent<'a> {
     pub ok: bool,
     /// Where the job ended.
     pub tier: Tier,
-    /// Wall-clock time of this job, measured on the engine's
-    /// [`Clock`] (≈0 for cache hits and skips).
+    /// Wall-clock time of this job (≈0 for cache hits and skips).
     pub duration: Duration,
 }
 
@@ -301,7 +300,6 @@ pub struct Engine {
     cache: ResultCache,
     store: Option<DiskStore>,
     pool: WorkerPool,
-    clock: Clock,
 }
 
 impl Engine {
@@ -320,19 +318,7 @@ impl Engine {
             cache: ResultCache::with_capacity(DEFAULT_CACHE_CAPACITY),
             store: None,
             pool: WorkerPool::with_default_parallelism(),
-            clock: Clock::system(),
         }
-    }
-
-    /// Overrides the clock behind every reported wall-clock duration
-    /// ([`RunOutcome::duration`], [`JobEvent::duration`],
-    /// [`SweepOutcome::duration`]). Tests install a
-    /// [`mramsim_telemetry::TestClock`] to make timing assertions
-    /// deterministic; results themselves never depend on the clock.
-    #[must_use]
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Overrides the sweep worker count.
@@ -487,7 +473,7 @@ impl Engine {
             budget: None,
         };
         let key = ResultCache::key(id, &params.fingerprint());
-        let walk = self.walk(key, self.clock.now_nanos(), None, Some(compute));
+        let walk = self.walk(key, Instant::now(), None, Some(compute));
         let (tier, output) = walk.served?.expect("without a budget every miss computes");
         Ok(RunOutcome {
             output,
@@ -509,7 +495,7 @@ impl Engine {
     /// from the shared warm cache.
     #[must_use]
     pub fn lookup(&self, key: u64) -> Option<Arc<ScenarioOutput>> {
-        let walk = self.walk(key, self.clock.now_nanos(), None, None);
+        let walk = self.walk(key, Instant::now(), None, None);
         walk.served.ok().flatten().map(|(_, output)| output)
     }
 
@@ -522,7 +508,13 @@ impl Engine {
     /// than it measures); a sweep job (`job` = its index) that misses
     /// memory opens a `job` span over `disk.load`, `compute`, and
     /// `disk.store`.
-    fn walk(&self, key: u64, start: u64, job: Option<usize>, compute: Option<Compute<'_>>) -> Walk {
+    fn walk(
+        &self,
+        key: u64,
+        start: Instant,
+        job: Option<usize>,
+        compute: Option<Compute<'_>>,
+    ) -> Walk {
         let mut job_span = None;
         let served = 'walk: {
             if let Some(output) = self.cache.get(key) {
@@ -565,7 +557,7 @@ impl Engine {
                 Some((Tier::Computed, output))
             })
         };
-        let duration = self.clock.elapsed(start);
+        let duration = start.elapsed();
         if let Ok(Some((tier, _))) = &served {
             let histogram = match tier {
                 Tier::Warm => "engine.warm_lookup_s",
@@ -614,7 +606,7 @@ impl Engine {
     /// walks the tiers on the worker pool.
     pub(crate) fn sweep_valid(&self, plan: ValidPlan, options: &SweepOptions<'_>) -> SweepOutcome {
         let id = plan.plan.scenario();
-        let start = self.clock.now_nanos();
+        let start = Instant::now();
         // The sweep root span: every job span (and everything under
         // it, down to kernel builds and journal flushes on worker
         // threads) nests here via the pool's context propagation.
@@ -645,14 +637,14 @@ impl Engine {
         let results = self.pool.scoped_map(&plan.points, |index, (_, params)| {
             SCENARIO_WORKERS.set(Some(inner_workers));
             let key = ResultCache::key(id, &params.fingerprint());
-            let job_start = self.clock.now_nanos();
+            let job_start = Instant::now();
             // Cooperative cancellation (a draining server): jobs that
             // have not started when the flag flips are skipped — like
             // budget exhaustion — so the journal stays resumable.
             let (tier, result, duration, _job_span) =
                 if options.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                     let cancelled = "not run: sweep cancelled (resume to continue)";
-                    let duration = self.clock.elapsed(job_start);
+                    let duration = job_start.elapsed();
                     (Tier::Skipped, Err(cancelled.to_owned()), duration, None)
                 } else {
                     let compute = Compute { id, params, budget };
@@ -709,7 +701,7 @@ impl Engine {
                 Tier::Failed => errors += 1,
             }
         }
-        let duration = self.clock.elapsed(start);
+        let duration = start.elapsed();
         telemetry::counter_add("engine.busy_ns", busy_ns.load(Ordering::Relaxed));
         telemetry::observe("engine.sweep_s", duration.as_secs_f64());
         if telemetry::enabled() {

@@ -1187,7 +1187,7 @@ impl Scenario for ArrayWerScenario {
     }
 
     fn summary(&self) -> &'static str {
-        "array write campaign: per-cell s-LLGS Monte-Carlo WER fault map under a data pattern"
+        "array write campaign: per-cell WER fault map under a data pattern, one s-LLGS Monte-Carlo ensemble per window class"
     }
 
     fn params(&self) -> Vec<ParamSpec> {
@@ -1206,7 +1206,7 @@ impl Scenario for ArrayWerScenario {
                 "checkerboard",
             ),
         ];
-        specs.extend(campaign_specs("Monte-Carlo replicas per cell"));
+        specs.extend(campaign_specs("Monte-Carlo replicas per window class"));
         specs.extend(field_model_specs());
         specs
     }
@@ -1224,8 +1224,8 @@ impl Scenario for ArrayWerScenario {
             .map_err(|e| model_err("array-wer", e))?;
         let plan = ShardPlan::new(rows, rows).map_err(|e| model_err("array-wer", e))?;
         // One whole-array shard at the paper's 3×3 model: at radius 1
-        // the hierarchical kernel is bit-identical to the dense NP8
-        // field map, and cells sharing a window share one ensemble.
+        // the kernel holds ring 1 only and is bit-identical to the dense
+        // NP8 field map, and cells sharing a window share one ensemble.
         let config = ArrayWerConfig {
             max_radius: 1,
             ..campaign_config(params)?

@@ -5,7 +5,7 @@
 //! pulse?" per neighbourhood class. A campaign instead *simulates* the
 //! complement write of every cell under the stray field of its actual
 //! data window, with s-LLGS trajectory ensembles next to the analytic
-//! Butler WER. Two structural facts keep that cheap at any size:
+//! Butler WER. Three structural facts keep that cheap at any size:
 //!
 //! 1. **Equivalence classes.** A cell's WER is a pure function of its
 //!    stored-state window (stray field) and its ensemble seed. Seeding
@@ -27,17 +27,18 @@
 //!    recurs in another shard of the same campaign is served, not
 //!    rerun — bit-identical either way.
 //!
-//! The stray field comes from the ring-truncated
-//! [`HierarchicalKernel`], grown to the caller's `field_tol` accuracy
-//! (up to `max_radius`); the report carries the radius actually used
-//! and the a-priori tail bound so truncation is never silent. At
-//! `max_radius = 1` the kernel is bit-identical to the dense NP8 path
-//! ([`mramsim_array::cell_field_map`]), so a whole-array shard at that
-//! radius is the paper's 3×3 per-cell fault map.
+//! The stray field comes from the shared [`StrayFieldKernel`], grown
+//! ring by ring to the caller's `field_tol` accuracy (up to
+//! `max_radius`) and built once per design point for all shards; the
+//! report carries the radius actually used and the a-priori tail bound
+//! so truncation is never silent. At `max_radius = 1` the kernel is the
+//! ring-1 NP8 arithmetic of [`mramsim_array::cell_field_map`] bit for
+//! bit, so a whole-array shard at that radius is the paper's 3×3
+//! per-cell fault map.
 
 use crate::FaultsError;
 use mramsim_array::{
-    array_density_bits_per_um2, HierarchicalKernel, NeighborhoodPattern, PatternGrid,
+    array_density_bits_per_um2, NeighborhoodPattern, PatternGrid, StrayFieldKernel,
 };
 use mramsim_dynamics::{CellDrive, EnsembleMemo, EnsemblePlan, MacrospinParams, WerEstimate};
 use mramsim_mtj::wer::write_error_rate_saturating;
@@ -70,7 +71,7 @@ pub struct ArrayWerConfig {
     pub thermal: bool,
     /// A class whose Monte-Carlo WER exceeds this budget is a fault.
     pub wer_budget: f64,
-    /// Hard cap on the hierarchical kernel radius (rings).
+    /// Hard cap on the kernel radius (rings).
     pub max_radius: usize,
     /// Requested truncation accuracy: rings grow until the a-priori
     /// tail bound drops below this (or `max_radius` stops them).
@@ -433,12 +434,8 @@ pub fn shard_wer_campaign(
     }
     let _shard_span = shard_span;
 
-    let kernel = HierarchicalKernel::shared_for_tolerance(
-        device,
-        pitch,
-        config.field_tol,
-        config.max_radius,
-    )?;
+    let kernel =
+        StrayFieldKernel::shared_for_tolerance(device, pitch, config.field_tol, config.max_radius)?;
     let classes = grid.shard_classes(row_lo, row_hi, kernel.radius())?;
 
     let (base_ap2p, drive_ap2p) = direction_point(device, SwitchDirection::ApToP, config)?;

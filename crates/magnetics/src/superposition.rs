@@ -18,8 +18,7 @@ const BLOCK: usize = 256;
 
 /// One field source of a known concrete type, dispatched by `match`.
 ///
-/// The `Dyn` variant is the escape hatch for user-defined sources; the
-/// named variants cover every source the paper's model produces and stay
+/// The variants cover every source the paper's model produces and stay
 /// monomorphic (and therefore inlinable and batched) in the hot path.
 ///
 /// # Examples
@@ -32,6 +31,7 @@ const BLOCK: usize = 256;
 /// assert!(kind.h_field(Vec3::new(9e-8, 0.0, 0.0)).z < 0.0);
 /// # Ok::<(), mramsim_magnetics::MagneticsError>(())
 /// ```
+#[derive(Debug)]
 pub enum SourceKind {
     /// A polygonal Biot–Savart loop (the paper's Eq. 1 workhorse).
     Loop(LoopSource),
@@ -41,16 +41,6 @@ pub enum SourceKind {
     Dipole(Dipole),
     /// A thick layer as a stack of sub-loops.
     Sliced(SlicedLoop),
-    /// Any other field source, boxed (virtual dispatch).
-    Dyn(Box<dyn FieldSource + Send + Sync>),
-}
-
-impl SourceKind {
-    /// Wraps an arbitrary source in the boxed escape hatch.
-    #[must_use]
-    pub fn boxed<S: FieldSource + Send + Sync + 'static>(source: S) -> Self {
-        Self::Dyn(Box::new(source))
-    }
 }
 
 impl FieldSource for SourceKind {
@@ -60,7 +50,6 @@ impl FieldSource for SourceKind {
             Self::Analytic(s) => s.h_field(p),
             Self::Dipole(s) => s.h_field(p),
             Self::Sliced(s) => s.h_field(p),
-            Self::Dyn(s) => s.h_field(p),
         }
     }
 
@@ -70,7 +59,6 @@ impl FieldSource for SourceKind {
             Self::Analytic(s) => s.h_field_many(points, out),
             Self::Dipole(s) => s.h_field_many(points, out),
             Self::Sliced(s) => s.h_field_many(points, out),
-            Self::Dyn(s) => s.h_field_many(points, out),
         }
     }
 }
@@ -96,18 +84,6 @@ impl From<Dipole> for SourceKind {
 impl From<SlicedLoop> for SourceKind {
     fn from(s: SlicedLoop) -> Self {
         Self::Sliced(s)
-    }
-}
-
-impl core::fmt::Debug for SourceKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Self::Loop(s) => f.debug_tuple("Loop").field(s).finish(),
-            Self::Analytic(s) => f.debug_tuple("Analytic").field(s).finish(),
-            Self::Dipole(s) => f.debug_tuple("Dipole").field(s).finish(),
-            Self::Sliced(s) => f.debug_tuple("Sliced").field(s).finish(),
-            Self::Dyn(_) => f.write_str("Dyn(..)"),
-        }
     }
 }
 
@@ -143,15 +119,9 @@ impl SourceSet {
         Self::default()
     }
 
-    /// Adds a source of a known concrete type to the set (monomorphic
-    /// dispatch; use [`SourceSet::push_dyn`] for anything else).
+    /// Adds a source to the set (monomorphic dispatch).
     pub fn push<S: Into<SourceKind>>(&mut self, source: S) {
         self.sources.push(source.into());
-    }
-
-    /// Adds an arbitrary source through the boxed escape hatch.
-    pub fn push_dyn<S: FieldSource + Send + Sync + 'static>(&mut self, source: S) {
-        self.sources.push(SourceKind::boxed(source));
     }
 
     /// Number of sources in the set.
@@ -259,23 +229,6 @@ mod tests {
             .map(|i| Dipole::new(Vec3::new(f64::from(i) * 9e-8, 0.0, 0.0), 1e-18).unwrap())
             .collect();
         assert_eq!(set.len(), 8);
-    }
-
-    #[test]
-    fn dyn_escape_hatch_still_superposes() {
-        struct Constant(Vec3);
-        impl FieldSource for Constant {
-            fn h_field(&self, _p: Vec3) -> Vec3 {
-                self.0
-            }
-        }
-        let mut set = SourceSet::new();
-        set.push_dyn(Constant(Vec3::new(0.0, 0.0, 2.5)));
-        set.push(Dipole::new(Vec3::ZERO, 4e-18).unwrap());
-        let p = Vec3::new(1e-7, 0.0, 0.0);
-        let expect = 2.5 + Dipole::new(Vec3::ZERO, 4e-18).unwrap().h_field(p).z;
-        assert!((set.h_field(p).z - expect).abs() < 1e-15 * expect.abs());
-        assert_eq!(set.len(), 2);
     }
 
     #[test]

@@ -111,9 +111,9 @@ impl MtjStack {
         })
     }
 
-    /// Bound-current sources of the fixed layers as [`SourceKind`]s,
-    /// honouring the configured backend — the monomorphic-dispatch path
-    /// the stray-field kernel evaluates.
+    /// Bound-current sources of the fixed layers of a device of diameter
+    /// `ecd` centred at `(x, y)` metres (FL mid-plane at `z = 0`), as
+    /// [`SourceKind`]s honouring the configured backend.
     ///
     /// # Errors
     ///
@@ -137,7 +137,8 @@ impl MtjStack {
             .collect()
     }
 
-    /// The FL bound-current source as a [`SourceKind`], honouring the
+    /// The FL bound-current source of a device in the given state,
+    /// centred at `(x, y)` metres, as a [`SourceKind`] honouring the
     /// configured backend.
     ///
     /// # Errors
@@ -156,56 +157,6 @@ impl MtjStack {
             radius,
             state.fl_direction() * self.fl_ms_t.value(),
         )
-    }
-
-    /// Bound-current loops of the fixed layers for a device of diameter
-    /// `ecd` centred at `(x, y)` metres (FL mid-plane at `z = 0`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MtjError::Magnetics`] for degenerate geometry.
-    pub fn fixed_sources_at(
-        &self,
-        ecd: Nanometer,
-        x: f64,
-        y: f64,
-    ) -> Result<Vec<LoopSource>, MtjError> {
-        let radius = ecd.to_meter().value() / 2.0;
-        self.fixed
-            .iter()
-            .map(|layer| {
-                LoopSource::new(
-                    Vec3::new(x, y, layer.z_center().to_meter().value()),
-                    radius,
-                    layer.signed_sheet_current(),
-                    self.segments,
-                )
-                .map_err(MtjError::from)
-            })
-            .collect()
-    }
-
-    /// The FL bound-current loop for a device in the given state, centred
-    /// at `(x, y)` metres.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MtjError::Magnetics`] for degenerate geometry.
-    pub fn fl_source_at(
-        &self,
-        ecd: Nanometer,
-        x: f64,
-        y: f64,
-        state: MtjState,
-    ) -> Result<LoopSource, MtjError> {
-        let radius = ecd.to_meter().value() / 2.0;
-        LoopSource::new(
-            Vec3::new(x, y, 0.0),
-            radius,
-            state.fl_direction() * self.fl_ms_t.value(),
-            self.segments,
-        )
-        .map_err(MtjError::from)
     }
 
     /// All three loops (FL + fixed) of a cell at `(x, y)` — what an
@@ -435,15 +386,14 @@ mod tests {
     #[test]
     fn fl_source_sign_tracks_state() {
         let s = stack();
-        let p = s
-            .fl_source_at(Nanometer::new(55.0), 0.0, 0.0, MtjState::Parallel)
-            .unwrap();
-        let ap = s
-            .fl_source_at(Nanometer::new(55.0), 0.0, 0.0, MtjState::AntiParallel)
-            .unwrap();
-        assert!(p.current() > 0.0);
-        assert!(ap.current() < 0.0);
-        assert!((p.current() + ap.current()).abs() < 1e-15);
+        let current = |state| match s.fl_kind_at(Nanometer::new(55.0), 0.0, 0.0, state) {
+            Ok(SourceKind::Loop(fl)) => fl.current(),
+            other => panic!("a polygon stack built {other:?}"),
+        };
+        let (p, ap) = (current(MtjState::Parallel), current(MtjState::AntiParallel));
+        assert!(p > 0.0);
+        assert!(ap < 0.0);
+        assert!((p + ap).abs() < 1e-15);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! * [`roots`] — bisection and Brent root finding (calibration, crossover
 //!   searches),
 //! * [`integrate`] — adaptive Simpson quadrature,
-//! * [`interp`] — linear interpolation on tabulated curves,
 //! * [`stats`] — descriptive statistics for device populations,
 //! * [`dist`] — Normal / LogNormal sampling built on `rand` (process
 //!   variation, thermal switching stochasticity) and the ziggurat
@@ -47,7 +46,6 @@ mod error;
 pub mod hash;
 pub mod histogram;
 pub mod integrate;
-pub mod interp;
 pub mod linalg;
 pub mod optimize;
 pub mod pool;

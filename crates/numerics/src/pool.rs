@@ -200,16 +200,6 @@ impl Default for WorkerPool {
     }
 }
 
-/// One-shot convenience: [`WorkerPool::scoped_map`] on a default pool.
-pub fn parallel_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    WorkerPool::with_default_parallelism().scoped_map(items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

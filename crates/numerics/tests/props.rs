@@ -1,9 +1,7 @@
 //! Property tests for the numerics substrate.
 
 use mramsim_numerics::optimize::{levenberg_marquardt, nelder_mead, LmOptions, NelderMeadOptions};
-use mramsim_numerics::{
-    dist, histogram::Histogram, integrate, interp, roots, special, stats, Vec3,
-};
+use mramsim_numerics::{dist, histogram::Histogram, integrate, roots, special, stats, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -68,16 +66,6 @@ proptest! {
             + d * (hi - lo);
         let v = integrate::adaptive_simpson(f, lo, hi, 1e-12).unwrap();
         prop_assert!((v - exact).abs() < 1e-7 * exact.abs().max(1.0));
-    }
-
-    /// Linear interpolation is exact on affine data, including
-    /// extrapolation.
-    #[test]
-    fn interp_exact_on_affine(m in -10.0f64..10.0, q in -10.0f64..10.0, x in -20.0f64..20.0) {
-        let xs: Vec<f64> = (0..6).map(f64::from).collect();
-        let ys: Vec<f64> = xs.iter().map(|&t| m * t + q).collect();
-        let f = interp::Linear::new(xs, ys).unwrap();
-        prop_assert!((f.eval(x) - (m * x + q)).abs() < 1e-9 * (m.abs() * 20.0 + q.abs()).max(1.0));
     }
 
     /// Percentiles are monotone in p and bounded by min/max.
