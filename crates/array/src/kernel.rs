@@ -1,5 +1,6 @@
 //! The stray-field kernel: per-`(device, pitch)` precomputed aggressor
-//! fields out to a ring radius, memoised in a content-addressed cache.
+//! fields out to a ring radius, memoised in a bounded process-wide
+//! table.
 //!
 //! Every array-level quantity — the Fig. 4a pattern table, the Ψ-vs-pitch
 //! sweeps, the window-class campaigns — needs the same three numbers per
@@ -8,23 +9,21 @@
 //! cost a full Biot–Savart superposition each (hundreds of segments per
 //! loop), but depend only on the device stack, the eCD and the lattice
 //! offset. [`StrayFieldKernel`] computes them once and a process-wide
-//! table keyed by an FNV-1a content address (the same hashing approach
-//! as the engine's result cache) serves every later analyzer, sweep
-//! point and campaign shard for free. The table builds each missing
-//! kernel once: concurrent requests for it wait for the one build
-//! instead of repeating it.
+//! [`Memo`](mramsim_numerics::memo::Memo), keyed by the exact canonical
+//! fingerprint of the design point, serves every later analyzer, sweep
+//! point and campaign shard. It builds each missing kernel once
+//! (concurrent requests wait for the one build) and holds at most 1024
+//! kernels, least recently used out first.
 
 use crate::hierarchy::{tail_coeff, RingTable};
 use crate::{ArrayError, NeighborhoodPattern, PatternClass};
 use mramsim_magnetics::FieldSource;
 use mramsim_mtj::{MtjDevice, MtjState};
-use mramsim_numerics::hash::fnv1a;
+use mramsim_numerics::memo::{Memo, MemoStats};
 use mramsim_numerics::Vec3;
 use mramsim_units::constants::OERSTED_PER_AMPERE_PER_METER;
 use mramsim_units::{Nanometer, Oersted};
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, LazyLock};
 
 /// The three field contributions of one aggressor, all in A/m at the
 /// victim FL centre.
@@ -47,17 +46,6 @@ impl LatticeField {
                 MtjState::AntiParallel => self.fl_ap_hz,
             }
     }
-}
-
-/// Hit/miss counters of the process-wide kernel cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct KernelCacheStats {
-    /// Kernels served from the cache.
-    pub hits: u64,
-    /// Kernels that had to be computed.
-    pub misses: u64,
-    /// Kernels currently stored.
-    pub entries: usize,
 }
 
 /// Precomputed stray-field data for one `(device, pitch)` pair: the
@@ -86,7 +74,6 @@ pub struct KernelCacheStats {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrayFieldKernel {
-    fingerprint: Box<str>,
     pitch: Nanometer,
     intra_hz: f64,
     /// Ring 1 at the canonical lattice offsets `(1, 0)` and `(1, 1)`.
@@ -110,15 +97,15 @@ impl StrayFieldKernel {
     }
 
     /// The memoised radius-1 kernel for a `(device, pitch)` pair: served
-    /// from the process-wide content-addressed table when present,
-    /// computed and inserted otherwise.
+    /// from the process-wide table when present, computed and inserted
+    /// otherwise.
     ///
     /// # Errors
     ///
     /// Same contract as [`StrayFieldKernel::compute`].
     pub fn shared(device: &MtjDevice, pitch: Nanometer) -> Result<Arc<Self>, ArrayError> {
-        shared_kernel(fingerprint(device, pitch), |fp| {
-            Self::build(device, pitch, RING_ONE, 1, fp)
+        TABLE.get_or_build(fingerprint(device, pitch), || {
+            Self::compute(device, pitch).map(Arc::new)
         })
     }
 
@@ -136,43 +123,6 @@ impl StrayFieldKernel {
         pitch: Nanometer,
         tol: Oersted,
         max_radius: usize,
-    ) -> Result<Self, ArrayError> {
-        Self::build(
-            device,
-            pitch,
-            tol,
-            max_radius,
-            fingerprint(device, pitch).into(),
-        )
-    }
-
-    /// The memoised tolerance-driven kernel: keyed by
-    /// `(device, pitch, tol, max_radius)` so repeated campaign shards
-    /// reuse one table.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Self::for_tolerance`].
-    pub fn shared_for_tolerance(
-        device: &MtjDevice,
-        pitch: Nanometer,
-        tol: Oersted,
-        max_radius: usize,
-    ) -> Result<Arc<Self>, ArrayError> {
-        let fp = format!(
-            "{}tol={:016x};max_radius={max_radius};",
-            fingerprint(device, pitch),
-            tol.value().to_bits()
-        );
-        shared_kernel(fp, |fp| Self::build(device, pitch, tol, max_radius, fp))
-    }
-
-    fn build(
-        device: &MtjDevice,
-        pitch: Nanometer,
-        tol: Oersted,
-        max_radius: usize,
-        fingerprint: Box<str>,
     ) -> Result<Self, ArrayError> {
         if !tol.value().is_finite() || tol.value() <= 0.0 {
             return Err(ArrayError::InvalidParameter {
@@ -204,7 +154,6 @@ impl StrayFieldKernel {
             offset_field_at(device, p, 1, 1)?,
         ];
         let mut kernel = Self {
-            fingerprint,
             pitch,
             intra_hz: device
                 .stack()
@@ -225,10 +174,27 @@ impl StrayFieldKernel {
         Ok(kernel)
     }
 
-    /// The canonical fingerprint the cache keys on.
-    #[must_use]
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
+    /// The memoised tolerance-driven kernel: keyed by
+    /// `(device, pitch, tol, max_radius)` so repeated campaign shards
+    /// reuse one table.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Self::for_tolerance`].
+    pub fn shared_for_tolerance(
+        device: &MtjDevice,
+        pitch: Nanometer,
+        tol: Oersted,
+        max_radius: usize,
+    ) -> Result<Arc<Self>, ArrayError> {
+        let fp = format!(
+            "{}tol={:016x};max_radius={max_radius};",
+            fingerprint(device, pitch),
+            tol.value().to_bits()
+        );
+        TABLE.get_or_build(fp, || {
+            Self::for_tolerance(device, pitch, tol, max_radius).map(Arc::new)
+        })
     }
 
     /// The victim's own intra-cell field `Hz_s_intra` at the FL centre
@@ -393,107 +359,26 @@ fn fingerprint(device: &MtjDevice, pitch: Nanometer) -> String {
     fp
 }
 
-/// The process-wide kernel table: built kernels under an FNV-1a digest
-/// of their canonical fingerprint, plus the keys being built right now.
-struct KernelTable {
-    state: Mutex<TableState>,
-    /// Signalled whenever a build ends, built or failed.
-    build_ended: Condvar,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
+/// Kernels the process-wide table holds at most; a radius-1 kernel is
+/// about 100 B.
+const TABLE_CAPACITY: usize = 1024;
 
-#[derive(Default)]
-struct TableState {
-    built: HashMap<u64, Arc<StrayFieldKernel>>,
-    building: HashSet<u64>,
-}
-
-impl KernelTable {
-    /// Locks the state, recovering from poisoning: no kernel code runs
-    /// under the lock, so the maps are always whole.
-    fn lock(&self) -> MutexGuard<'_, TableState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Clears a key's in-flight mark when its build ends, by success,
-/// error or panic, and wakes the requests waiting on it.
-struct Flight<'a> {
-    table: &'a KernelTable,
-    key: u64,
-}
-
-impl Drop for Flight<'_> {
-    fn drop(&mut self) {
-        self.table.lock().building.remove(&self.key);
-        self.table.build_ended.notify_all();
-    }
-}
-
-fn table() -> &'static KernelTable {
-    static TABLE: OnceLock<KernelTable> = OnceLock::new();
-    TABLE.get_or_init(|| KernelTable {
-        state: Mutex::new(TableState::default()),
-        build_ended: Condvar::new(),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-/// The shared kernel for fingerprint `fp`, built by `build` (handed
-/// `fp` for the kernel to carry) when the table lacks it. While one
-/// request builds a key, the others for that key wait and are then
-/// served its kernel; a failed build is not stored, so the next request
-/// tries again.
-fn shared_kernel(
-    fp: String,
-    build: impl FnOnce(Box<str>) -> Result<StrayFieldKernel, ArrayError>,
-) -> Result<Arc<StrayFieldKernel>, ArrayError> {
-    let table = table();
-    let key = fnv1a(fp.as_bytes());
-    let mut state = table.lock();
-    loop {
-        // Guard against an FNV collision: a hit must carry the exact
-        // fingerprint, not just the same 64-bit digest.
-        if let Some(kernel) = state.built.get(&key).filter(|k| k.fingerprint() == fp) {
-            table.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(kernel));
-        }
-        if !state.building.contains(&key) {
-            break;
-        }
-        state = table
-            .build_ended
-            .wait(state)
-            .unwrap_or_else(PoisonError::into_inner);
-    }
-    state.building.insert(key);
-    drop(state);
-    table.misses.fetch_add(1, Ordering::Relaxed);
-    let flight = Flight { table, key };
-    let kernel = Arc::new(build(fp.into_boxed_str())?);
-    table.lock().built.insert(key, Arc::clone(&kernel));
-    drop(flight);
-    Ok(kernel)
-}
+/// The process-wide kernel table, keyed by the full canonical
+/// fingerprint (a tolerance kernel appends its `tol` and `max_radius`).
+static TABLE: LazyLock<Memo<String, Arc<StrayFieldKernel>>> =
+    LazyLock::new(|| Memo::new(TABLE_CAPACITY));
 
 /// Current counters of the process-wide kernel table.
 #[must_use]
-pub fn kernel_cache_stats() -> KernelCacheStats {
-    let table = table();
-    KernelCacheStats {
-        hits: table.hits.load(Ordering::Relaxed),
-        misses: table.misses.load(Ordering::Relaxed),
-        entries: table.lock().built.len(),
-    }
+pub fn kernel_cache_stats() -> MemoStats {
+    TABLE.stats()
 }
 
 /// Drops every memoised kernel (counters keep accumulating). Used by
 /// cold-cache benchmarks and long-running services that change device
 /// populations wholesale.
 pub fn clear_kernel_cache() {
-    table().lock().built.clear();
+    TABLE.clear();
 }
 
 #[cfg(test)]
@@ -548,18 +433,21 @@ mod tests {
         let a = StrayFieldKernel::shared(&dev, Nanometer::new(75.0)).unwrap();
         let b = StrayFieldKernel::shared(&dev, Nanometer::new(76.0)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
-        assert_ne!(a.fingerprint(), b.fingerprint());
         // Different field-model knobs are different cache entries too.
         let coarse = presets::imec_like_with(Nanometer::new(35.0), 64, false).unwrap();
         let exact = presets::imec_like_with(Nanometer::new(35.0), 64, true).unwrap();
         let c = StrayFieldKernel::shared(&coarse, Nanometer::new(75.0)).unwrap();
         let d = StrayFieldKernel::shared(&exact, Nanometer::new(75.0)).unwrap();
-        assert_ne!(c.fingerprint(), d.fingerprint());
-        assert_ne!(a.fingerprint(), c.fingerprint());
+        assert!(!Arc::ptr_eq(&c, &d));
+        assert!(!Arc::ptr_eq(&a, &c));
+        let pitch = Nanometer::new(75.0);
+        assert_ne!(fingerprint(&coarse, pitch), fingerprint(&exact, pitch));
+        assert_ne!(fingerprint(&dev, pitch), fingerprint(&coarse, pitch));
     }
 
     #[test]
     fn concurrent_requests_for_a_new_kernel_share_one_build() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let dev = device(35.0);
         let builds = AtomicU64::new(0);
         let barrier = std::sync::Barrier::new(8);
@@ -569,12 +457,13 @@ mod tests {
                 .map(|_| {
                     scope.spawn(|| {
                         barrier.wait();
-                        shared_kernel(fp.to_owned(), |fp| {
-                            builds.fetch_add(1, Ordering::Relaxed);
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            StrayFieldKernel::build(&dev, Nanometer::new(70.0), RING_ONE, 1, fp)
-                        })
-                        .unwrap()
+                        TABLE
+                            .get_or_build(fp.to_owned(), || {
+                                builds.fetch_add(1, Ordering::Relaxed);
+                                std::thread::sleep(std::time::Duration::from_millis(20));
+                                StrayFieldKernel::compute(&dev, Nanometer::new(70.0)).map(Arc::new)
+                            })
+                            .unwrap()
                     })
                 })
                 .collect();
@@ -589,14 +478,16 @@ mod tests {
         let dev = &device(35.0);
         let fp = "test=failed-build;";
         let at = |pitch: f64| {
-            move |fp| StrayFieldKernel::build(dev, Nanometer::new(pitch), RING_ONE, 1, fp)
+            TABLE.get_or_build(fp.to_owned(), || {
+                StrayFieldKernel::compute(dev, Nanometer::new(pitch)).map(Arc::new)
+            })
         };
         // Overlapping cells: the build fails.
-        let failed = shared_kernel(fp.to_owned(), at(20.0));
+        let failed = at(20.0);
         assert!(failed.is_err());
-        let retried = shared_kernel(fp.to_owned(), at(70.0)).unwrap();
+        let retried = at(70.0).unwrap();
         assert_eq!(retried.pitch, Nanometer::new(70.0));
-        let again = shared_kernel(fp.to_owned(), at(80.0)).unwrap();
+        let again = at(80.0).unwrap();
         assert_eq!(again.pitch, Nanometer::new(70.0));
     }
 
@@ -606,7 +497,7 @@ mod tests {
         // A service holds one radius-1 kernel per design point it has
         // seen, tens of thousands of them: ring 1 stays inline and the
         // empty outer-ring table allocates nothing.
-        assert_eq!(std::mem::size_of::<StrayFieldKernel>(), 112);
+        assert_eq!(std::mem::size_of::<StrayFieldKernel>(), 96);
         let kernel = StrayFieldKernel::compute(&device(35.0), Nanometer::new(70.0)).unwrap();
         assert_eq!(kernel.outer.capacity(), 0);
     }

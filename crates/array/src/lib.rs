@@ -61,7 +61,7 @@ pub use error::ArrayError;
 pub use geometry::{diagonal_neighbor_offsets, direct_neighbor_offsets, ring_offsets};
 pub use grid::{Defect, GridClass, PatternGrid};
 pub use hierarchy::HierarchicalKernel;
-pub use kernel::{clear_kernel_cache, kernel_cache_stats, KernelCacheStats, StrayFieldKernel};
+pub use kernel::{clear_kernel_cache, kernel_cache_stats, StrayFieldKernel};
 pub use pattern::{NeighborhoodPattern, PatternClass};
 pub use rings::ExtendedCoupling;
 pub use sweep::{max_density_pitch, psi_vs_pitch, psi_vs_pitch_on, PsiPoint};

@@ -31,7 +31,8 @@
 //!   per-block aggregation; [`wer_campaign_seeded`] takes the seeds
 //!   from the caller — the substrate of the window-class campaigns
 //!   behind `array-wer` and `array-wer-shard`,
-//! * [`EnsembleMemo`] — a bounded memo in front of
+//! * [`EnsembleMemo`] — the shared bounded
+//!   [`Memo`](mramsim_numerics::memo::Memo) in front of
 //!   [`wer_campaign_seeded`], keyed by the exact bits of each
 //!   ensemble's inputs, so a campaign runs each distinct window once.
 //!
@@ -72,4 +73,4 @@ pub use ensemble::{run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANE
 pub use error::DynamicsError;
 pub use llgs::{heun_step, record_trajectory, MacrospinParams, GAMMA_0, GYROMAGNETIC_RATIO};
 pub use mc::{switching_time_distribution, wer_monte_carlo, SwitchingTimes, WerEstimate};
-pub use memo::{EnsembleMemo, MemoStats};
+pub use memo::EnsembleMemo;

@@ -8,15 +8,14 @@
 //! ([`wer_campaign_seeded`] is position-independent), so a stored
 //! estimate is bit-identical to a rerun. Window-class campaigns repeat
 //! inputs whenever a data window recurs in another shard; the memo runs
-//! each of them once.
+//! each of them once. The table is the workspace's one
+//! [`Memo`](mramsim_numerics::memo::Memo).
 
 use crate::campaign::{wer_campaign_seeded, CellDrive};
 use crate::ensemble::EnsemblePlan;
 use crate::mc::WerEstimate;
+use mramsim_numerics::memo::{Memo, MemoStats};
 use mramsim_numerics::pool::WorkerPool;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The exact inputs of one ensemble. The memo stores the whole key and
 /// compares it on every hit; it never trusts a hash alone.
@@ -55,31 +54,6 @@ impl EnsembleKey {
     }
 }
 
-/// One stored estimate plus its recency stamp.
-struct Entry {
-    estimate: WerEstimate,
-    /// Logical clock of the last hit (or the insert); eviction drops
-    /// the smallest stamps first.
-    last_used: u64,
-}
-
-/// The map and its logical clock, guarded together.
-struct Inner {
-    map: HashMap<EnsembleKey, Entry>,
-    tick: u64,
-}
-
-/// Hit/miss counters of an [`EnsembleMemo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    /// Ensembles served from the memo.
-    pub hits: u64,
-    /// Ensembles that had to run.
-    pub misses: u64,
-    /// Estimates currently stored.
-    pub entries: usize,
-}
-
 /// A thread-safe memo of WER ensembles with a fixed capacity of
 /// [`EnsembleMemo::CAPACITY`] entries and least-recently-used eviction.
 ///
@@ -108,18 +82,9 @@ pub struct MemoStats {
 /// assert_eq!(memo.stats().hits, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
+#[derive(Debug)]
 pub struct EnsembleMemo {
-    inner: Mutex<Inner>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl std::fmt::Debug for EnsembleMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnsembleMemo")
-            .field("stats", &self.stats())
-            .finish()
-    }
+    memo: Memo<EnsembleKey, WerEstimate>,
 }
 
 impl Default for EnsembleMemo {
@@ -137,19 +102,8 @@ impl EnsembleMemo {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            memo: Memo::new(Self::CAPACITY),
         }
-    }
-
-    /// Locks the map, recovering from poisoning: no ensemble runs under
-    /// the lock, so the map is always whole.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// [`wer_campaign_seeded`] through the memo: stored inputs are
@@ -178,45 +132,19 @@ impl EnsembleMemo {
             .zip(seeds)
             .map(|(cell, &seed)| EnsembleKey::new(cell, seed, pulse, plan))
             .collect();
-        let mut served: Vec<Option<WerEstimate>> = {
-            let mut inner = self.lock();
-            keys.iter()
-                .map(|key| {
-                    inner.tick += 1;
-                    let tick = inner.tick;
-                    inner.map.get_mut(key).map(|entry| {
-                        entry.last_used = tick;
-                        entry.estimate
-                    })
-                })
-                .collect()
-        };
+        let mut served: Vec<Option<WerEstimate>> = keys.iter().map(|k| self.memo.get(k)).collect();
         let ran: Vec<bool> = served.iter().map(Option::is_none).collect();
         let missed: Vec<usize> = (0..keys.len()).filter(|&i| ran[i]).collect();
-        self.hits
-            .fetch_add((keys.len() - missed.len()) as u64, Ordering::Relaxed);
-        self.misses
-            .fetch_add(missed.len() as u64, Ordering::Relaxed);
         if !missed.is_empty() {
             let drives: Vec<CellDrive> = missed.iter().map(|&i| cells[i].clone()).collect();
             let miss_seeds: Vec<u64> = missed.iter().map(|&i| seeds[i]).collect();
             let estimates = wer_campaign_seeded(&drives, &miss_seeds, pulse, plan, pool);
             // Stored only once the whole batch is back, so a panic
             // leaves no entry behind.
-            let mut inner = self.lock();
             for (&i, estimate) in missed.iter().zip(estimates) {
-                inner.tick += 1;
-                let last_used = inner.tick;
-                inner.map.insert(
-                    keys[i].clone(),
-                    Entry {
-                        estimate,
-                        last_used,
-                    },
-                );
+                self.memo.insert(keys[i].clone(), estimate);
                 served[i] = Some(estimate);
             }
-            inner.evict_to(Self::CAPACITY);
         }
         served
             .into_iter()
@@ -228,27 +156,7 @@ impl EnsembleMemo {
     /// Current counters.
     #[must_use]
     pub fn stats(&self) -> MemoStats {
-        MemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.lock().map.len(),
-        }
-    }
-}
-
-impl Inner {
-    /// Once past `capacity`, drops the least-recently-used entries down
-    /// to 7/8 of it in one pass, so the pass runs once per `capacity / 8`
-    /// inserts rather than once per batch (stamps are unique, so exactly
-    /// the chosen number go).
-    fn evict_to(&mut self, capacity: usize) {
-        if self.map.len() <= capacity {
-            return;
-        }
-        let excess = self.map.len() - (capacity - capacity / 8);
-        let mut stamps: Vec<u64> = self.map.values().map(|e| e.last_used).collect();
-        let (_, &mut cutoff, _) = stamps.select_nth_unstable(excess - 1);
-        self.map.retain(|_, e| e.last_used > cutoff);
+        self.memo.stats()
     }
 }
 
@@ -293,7 +201,9 @@ mod tests {
             MemoStats {
                 hits: 1,
                 misses: 2,
-                entries: 2
+                evictions: 0,
+                entries: 2,
+                capacity: EnsembleMemo::CAPACITY,
             }
         );
     }
@@ -364,32 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_evicts_least_recently_used() {
-        let mut inner = Inner {
-            map: HashMap::new(),
-            tick: 0,
-        };
-        let estimate = WerEstimate::from_counts(4, 1);
-        let key = |seed| EnsembleKey::new(&cell(0.0), seed, 1e-9, &plan());
-        for seed in 0..5u64 {
-            inner.tick += 1;
-            let last_used = if seed == 0 { 100 } else { inner.tick };
-            inner.map.insert(
-                key(seed),
-                Entry {
-                    estimate,
-                    last_used,
-                },
-            );
-        }
-        inner.evict_to(3);
-        // Seed 0 was used last; seeds 1 and 2 were the oldest.
-        let mut kept: Vec<u64> = inner.map.keys().map(|k| k.seed).collect();
-        kept.sort_unstable();
-        assert_eq!(kept, [0, 3, 4]);
-    }
-
-    #[test]
     fn the_memo_never_outgrows_its_capacity() {
         // Ensembles of one replica keep the batches cheap.
         let memo = EnsembleMemo::new();
@@ -402,9 +286,10 @@ mod tests {
             let _ = memo.wer_campaign_seeded(&cells, &seeds, 1e-10, &plan, &pool);
             assert!(memo.stats().entries <= EnsembleMemo::CAPACITY);
         }
-        // Past the bound, eviction trims to 7/8 of it.
-        let trimmed = EnsembleMemo::CAPACITY - EnsembleMemo::CAPACITY / 8;
-        assert_eq!(memo.stats().entries, trimmed);
+        // Every estimate that ran is either held or was evicted.
+        let stats = memo.stats();
+        assert!(stats.evictions > 0);
+        assert_eq!(stats.entries as u64 + stats.evictions, 5 * batch as u64);
         // The newest batch survived whole.
         let newest: Vec<u64> = (0..batch as u64).map(|i| 4000 + i).collect();
         let again = memo.wer_campaign_seeded(&cells, &newest, 1e-10, &plan, &pool);

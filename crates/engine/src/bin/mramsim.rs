@@ -880,9 +880,8 @@ fn execute_sweep(
     if show_progress {
         progress.clear();
     }
-    // Process-wide stray-field kernel cache traffic (ring-1 +
-    // hierarchical): gauged into the sealed snapshot so a later
-    // `mramsim stats <run-id>` can render what this process saw.
+    // Process-wide stray-field kernel table traffic, gauged into the
+    // sealed snapshot so `mramsim stats <run-id>` can render it.
     let kernel = mramsim_array::kernel_cache_stats();
     if options.telemetry && kernel.hits + kernel.misses > 0 {
         telemetry::gauge_set("kernel_cache.hits", kernel.hits as f64);

@@ -4,60 +4,27 @@
 //! fingerprint` (see [`crate::ParamSet::fingerprint`]); values are
 //! shared [`ScenarioOutput`]s. Repeated grid points — common when
 //! sweeps overlap or a report re-runs a scenario — are served without
-//! recomputation. The hash itself lives in
-//! [`mramsim_numerics::hash`], shared with the array crate's
-//! stray-field kernel cache and the engine's on-disk tier
-//! ([`crate::store::DiskStore`], which layers *under* this cache as a
-//! read-through/write-through persistent store).
+//! recomputation. The hash lives in [`mramsim_numerics::hash`], shared
+//! with the engine's on-disk tier ([`crate::store::DiskStore`], which
+//! layers *under* this cache as a read-through/write-through persistent
+//! store).
 //!
-//! The map is bounded: [`ResultCache::with_capacity`] caps the entry
-//! count and inserts beyond the cap evict the least-recently-used
-//! entry, so an unbounded sweep no longer grows the map without limit.
-//! Evictions are counted in [`CacheStats::evictions`] so sweep reports
-//! can show cache pressure.
+//! The map is a [`Memo`] with a fixed capacity: once an insert takes
+//! it past the bound, the least-recently-used entries go, down to 7/8
+//! of the capacity (for capacities of 8 and up evictions arrive in
+//! batches of `capacity/8 + 1`; below 8, one at a time). Evictions are
+//! counted in [`MemoStats::evictions`] and the `cache.evictions`
+//! counter, so sweep reports can show cache pressure.
 
 use crate::ScenarioOutput;
+use mramsim_numerics::memo::{Memo, MemoStats};
 use mramsim_telemetry as telemetry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 pub use mramsim_numerics::hash::fnv1a;
 use mramsim_numerics::hash::Fnv1a;
 
-/// Hit/miss/eviction counters of a [`ResultCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute.
-    pub misses: u64,
-    /// Entries currently stored.
-    pub entries: usize,
-    /// Entries evicted to stay within the capacity bound. A non-zero
-    /// value in a sweep report means the grid outgrew the in-memory
-    /// tier (cache pressure) — warm re-runs will only be fully served
-    /// when a disk tier is layered underneath.
-    pub evictions: u64,
-    /// The capacity bound (`None` = unbounded).
-    pub capacity: Option<usize>,
-}
-
-/// One stored entry plus its recency stamp.
-struct Entry {
-    output: Arc<ScenarioOutput>,
-    /// Logical clock of the last hit (or the insert); the eviction
-    /// victim is the entry with the smallest stamp.
-    last_used: u64,
-}
-
-/// The map and its logical clock, guarded together.
-struct Inner {
-    map: HashMap<u64, Entry>,
-    tick: u64,
-}
-
-/// A thread-safe, optionally bounded, in-memory result cache.
+/// A thread-safe, bounded, in-memory result cache.
 ///
 /// # Examples
 ///
@@ -72,59 +39,22 @@ struct Inner {
 /// cache.insert(key, Arc::new(ScenarioOutput::default()));
 /// assert!(cache.get(key).is_some());
 /// assert_eq!(cache.stats().hits, 1);
-/// assert_eq!(cache.stats().capacity, Some(2));
+/// assert_eq!(cache.stats().capacity, 2);
 /// ```
+#[derive(Debug)]
 pub struct ResultCache {
-    inner: Mutex<Inner>,
-    capacity: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl std::fmt::Debug for ResultCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("ResultCache")
-            .field("entries", &stats.entries)
-            .field("capacity", &self.capacity)
-            .field("hits", &stats.hits)
-            .field("misses", &stats.misses)
-            .field("evictions", &stats.evictions)
-            .finish()
-    }
-}
-
-impl Default for ResultCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    memo: Memo<u64, Arc<ScenarioOutput>>,
 }
 
 impl ResultCache {
-    /// An empty, unbounded cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-            capacity: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
     /// An empty cache holding at most `limit` entries; inserts beyond
-    /// the limit evict the least-recently-used entry. A limit of zero
+    /// the limit evict the least-recently-used entries. A limit of zero
     /// stores nothing (every lookup misses).
     #[must_use]
     pub fn with_capacity(limit: usize) -> Self {
-        let mut cache = Self::new();
-        cache.capacity = Some(limit);
-        cache
+        Self {
+            memo: Memo::new(limit),
+        }
     }
 
     /// The content address of one `(scenario, fingerprint)` point.
@@ -139,37 +69,16 @@ impl ResultCache {
         h.finish()
     }
 
-    /// Locks the map, recovering from poisoning: a job that panicked
-    /// mid-insert leaves the map structurally sound (`HashMap::insert`
-    /// is not observable half-done from outside the lock), so later
-    /// lookups keep working instead of panic-cascading across every
-    /// request of a long-lived server.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Looks up a result, counting the hit or miss and refreshing the
     /// entry's recency.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<Arc<ScenarioOutput>> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        let found = inner.map.get_mut(&key).map(|entry| {
-            entry.last_used = tick;
-            Arc::clone(&entry.output)
-        });
-        drop(inner);
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("cache.memory_hits", 1);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("cache.memory_misses", 1);
-            }
-        }
+        let found = self.memo.get(&key);
+        let counter = match found {
+            Some(_) => "cache.memory_hits",
+            None => "cache.memory_misses",
+        };
+        telemetry::counter_add(counter, 1);
         found
     }
 
@@ -178,51 +87,24 @@ impl ResultCache {
     /// are benign: the last insert wins and both callers hold
     /// equivalent outputs.
     pub fn insert(&self, key: u64, output: Arc<ScenarioOutput>) {
-        if self.capacity == Some(0) {
-            return;
-        }
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                output,
-                last_used: tick,
-            },
-        );
-        if let Some(limit) = self.capacity {
-            while inner.map.len() > limit {
-                // O(n) victim scan: bounded by the capacity knob and
-                // dwarfed by the seconds-scale jobs the cache fronts.
-                let victim = inner
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| *k)
-                    .expect("len > limit >= 0 means non-empty");
-                inner.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter_add("cache.evictions", 1);
-            }
+        let evicted = self.memo.insert(key, output);
+        if evicted > 0 {
+            telemetry::counter_add("cache.evictions", evicted as u64);
         }
     }
 
     /// Drops every entry (counters keep accumulating).
     pub fn clear(&self) {
-        self.lock().map.clear();
+        self.memo.clear();
     }
 
-    /// Current counters.
+    /// Current counters. A non-zero `evictions` in a sweep report means
+    /// the grid outgrew the in-memory tier (cache pressure): warm
+    /// re-runs are only fully served when a disk tier is layered
+    /// underneath.
     #[must_use]
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.lock().map.len(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            capacity: self.capacity,
-        }
+    pub fn stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 }
 
@@ -243,7 +125,7 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let cache = ResultCache::new();
+        let cache = ResultCache::with_capacity(4);
         let key = ResultCache::key("s", "p");
         assert!(cache.get(key).is_none());
         cache.insert(key, Arc::new(ScenarioOutput::default()));
@@ -252,12 +134,12 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
         assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.capacity, None);
+        assert_eq!(stats.capacity, 4);
     }
 
     #[test]
     fn clear_keeps_counters() {
-        let cache = ResultCache::new();
+        let cache = ResultCache::with_capacity(4);
         let key = ResultCache::key("s", "p");
         cache.insert(key, Arc::new(ScenarioOutput::default()));
         let _ = cache.get(key);
@@ -283,7 +165,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.capacity, Some(2));
+        assert_eq!(stats.capacity, 2);
     }
 
     #[test]

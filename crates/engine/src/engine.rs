@@ -2,10 +2,11 @@
 //! with an optional persistent disk tier and checkpointed (resumable)
 //! sweep execution.
 
-use crate::cache::{fnv1a, CacheStats, ResultCache};
+use crate::cache::{fnv1a, ResultCache};
 use crate::store::{DiskStats, DiskStore};
 use crate::{EngineError, ParamSet, Registry, Scenario, ScenarioOutput, SweepPlan, ValidPlan};
 use mramsim_core::report::Table;
+use mramsim_numerics::memo::MemoStats;
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_telemetry as telemetry;
 use mramsim_telemetry::{TreeSpan, Value};
@@ -371,7 +372,7 @@ impl Engine {
 
     /// Cache counters.
     #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
+    pub fn cache_stats(&self) -> MemoStats {
         self.cache.stats()
     }
 

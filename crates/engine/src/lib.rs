@@ -16,8 +16,10 @@
 //!   plan check ([`Engine::validate`]) and one walk down the tiers,
 //!   each job ending in a [`Tier`] (a panicking scenario is a `Failed`
 //!   point, not a dead sweep),
-//! * a content-addressed, capacity-bounded in-memory result [`cache`]
-//!   so repeated grid points are served without recomputation,
+//! * a content-addressed in-memory result [`cache`], bounded with
+//!   least-recently-used eviction on the shared
+//!   [`memo`](mramsim_numerics::memo), so repeated grid points are
+//!   served without recomputation,
 //! * a persistent on-disk result [`store`] (schema-versioned, atomic,
 //!   corruption-tolerant) layered under the memory tier, so repeats
 //!   are served across *processes* too,

@@ -173,7 +173,7 @@ fn bounded_memory_tier_reports_pressure_and_leans_on_disk() {
     assert_eq!(cold.errors, 0);
     let stats = engine.cache_stats();
     assert_eq!(stats.entries, 3, "memory tier stays within its bound");
-    assert_eq!(stats.capacity, Some(3));
+    assert_eq!(stats.capacity, 3);
     assert!(
         stats.evictions >= 6,
         "9 inserts into 3 slots must evict: {stats:?}"

@@ -1,9 +1,11 @@
-//! Content-address hashing shared across the workspace caches.
+//! Content-address hashing shared across the workspace.
 //!
-//! Both the engine's result cache and the array crate's stray-field
-//! kernel cache key on a 64-bit FNV-1a digest of a canonical
-//! fingerprint string; the implementation lives here so the two caches
-//! (and any future one) agree on the hash.
+//! The engine's result cache keys on a 64-bit FNV-1a digest of the
+//! scenario id and the canonical parameter fingerprint, its disk tier
+//! checksums entry bodies with it, and the campaign derives window keys
+//! and class seeds from it; the implementation lives here so they all
+//! agree on the hash. The stray-field kernel table and the ensemble
+//! memo key on their exact inputs instead ([`crate::memo`]).
 
 /// 64-bit FNV-1a over a byte string.
 ///

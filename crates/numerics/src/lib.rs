@@ -21,8 +21,11 @@
 //! * [`pool`] — the work-stealing worker pool shared by the array
 //!   sweeps, the batched field maps, and the `mramsim-engine`
 //!   execution layer,
-//! * [`hash`] — FNV-1a content-address hashing shared by the engine
-//!   result cache and the stray-field kernel cache.
+//! * [`hash`] — FNV-1a content-address hashing: the engine result
+//!   cache's keys, the disk tier's checksums and the class seeds,
+//! * [`memo`] — the one bounded, exact-key memo behind every
+//!   in-process cache: stray-field kernels, s-LLGS ensembles and
+//!   scenario results.
 //!
 //! # Examples
 //!
@@ -47,6 +50,7 @@ pub mod hash;
 pub mod histogram;
 pub mod integrate;
 pub mod linalg;
+pub mod memo;
 pub mod optimize;
 pub mod pool;
 pub mod roots;

@@ -7,6 +7,7 @@
 
 use crate::jsonl::{SpanTree, TelemetryLog};
 use crate::metrics::MetricsSnapshot;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders a human-readable duration with a stable width-ish format.
@@ -276,10 +277,10 @@ fn span_label(span: &crate::jsonl::SpanNode) -> String {
 }
 
 /// Renders the `--critical-path` analysis: the chain of spans ending
-/// at the last-finishing leaf, plus a wall-clock attribution that
-/// splits every link into pre-dispatch wait, child time, and
-/// post-child drain — the segments sum to the root duration by
-/// construction, so attribution is always 100%.
+/// at the last-finishing leaf, and its wall clock split by span name
+/// (`job: compute`, `sweep: job`); time that no child of a link's
+/// parent covers is `<parent>: unattributed`, outside the attributed
+/// share.
 #[must_use]
 pub fn render_critical_path(log: &TelemetryLog) -> String {
     let tree = log.span_tree();
@@ -333,34 +334,45 @@ pub fn render_critical_path(log: &TelemetryLog) -> String {
     }
     out.push('\n');
 
-    // Attribution: each link contributes its wait (child begins after
-    // parent) and drain (parent outlives child); the leaf contributes
-    // its whole body.
-    let mut segments: Vec<(String, u64)> = Vec::new();
+    // Attribution: the leaf contributes its whole body; on every link
+    // the parent's time before and after its chain child goes to the
+    // parent's other children, each instant to the one that began
+    // first, and the rest is the parent's unattributed share.
+    let end = |i: usize| tree.spans[i].end_ns.unwrap_or(horizon);
+    let leaf = &tree.spans[*chain.last().expect("chain is never empty")];
+    let mut totals = BTreeMap::from([(span_label(leaf), leaf.duration_ns(horizon))]);
+    let mut unattributed = 0u64;
     for pair in chain.windows(2) {
-        let (parent, child) = (&tree.spans[pair[0]], &tree.spans[pair[1]]);
-        let p_end = parent.end_ns.unwrap_or(horizon);
-        let c_end = child.end_ns.unwrap_or(horizon);
-        let wait = child.begin_ns.saturating_sub(parent.begin_ns);
-        let drain = p_end.saturating_sub(c_end);
-        if wait > 0 {
-            segments.push((format!("{}: wait before {}", parent.name, child.name), wait));
+        let (parent, child) = (&tree.spans[pair[0]], pair[1]);
+        let (p_begin, p_end) = (parent.begin_ns, end(pair[0]));
+        let c_begin = tree.spans[child].begin_ns.clamp(p_begin, p_end);
+        let mut gap = 0;
+        for (mut at, hi) in [
+            (p_begin, c_begin),
+            (end(child).clamp(c_begin, p_end), p_end),
+        ] {
+            for &other in parent.children.iter().filter(|&&c| c != child) {
+                let (b, e) = (tree.spans[other].begin_ns.max(at), end(other).min(hi));
+                if e > b {
+                    gap += b - at;
+                    let label = format!("{}: {}", parent.name, tree.spans[other].name);
+                    *totals.entry(label).or_default() += e - b;
+                    at = e;
+                }
+            }
+            gap += hi - at;
         }
-        if drain > 0 {
-            segments.push((
-                format!("{}: drain after {}", parent.name, child.name),
-                drain,
-            ));
+        if gap > 0 {
+            let label = format!("{}: unattributed", parent.name);
+            *totals.entry(label).or_default() += gap;
+            unattributed += gap;
         }
     }
-    let leaf = &tree.spans[*chain.last().expect("chain is never empty")];
-    segments.push((span_label(leaf), leaf.duration_ns(horizon)));
+    let mut segments: Vec<(String, u64)> = totals.into_iter().collect();
     segments.sort_by_key(|segment| std::cmp::Reverse(segment.1));
 
     out.push_str("wall-clock attribution along the critical path:\n");
-    let mut attributed = 0u64;
     for (label, ns) in &segments {
-        attributed += ns;
         let _ = writeln!(
             out,
             "  {label:<36} {:>9}  {:>5.1}%",
@@ -371,7 +383,7 @@ pub fn render_critical_path(log: &TelemetryLog) -> String {
     let _ = writeln!(
         out,
         "attributed: {:.1}% of the {} critical-path wall clock",
-        100.0 * attributed as f64 / root_dur as f64,
+        100.0 * root_dur.saturating_sub(unattributed) as f64 / root_dur as f64,
         format_secs(root_dur as f64 / 1e9),
     );
     out
@@ -551,8 +563,9 @@ mod tests {
 
     fn span_log() -> TelemetryLog {
         // sweep [0, 100ms] on lane 1; two jobs on lane 2: #0 [10, 30],
-        // #1 [40, 90] with a compute child [45, 85]. The critical path
-        // is sweep → job #1 → compute.
+        // #1 [40, 90] with a compute child [45, 85] and a journal.flush
+        // child [86, 89]. The critical path is sweep → job #1 →
+        // journal.flush.
         let line = |t: u64, lane: u64, name: &str, fields: &str| {
             format!(
                 r#"{{"kind":"event","t_ns":{t},"lane":{lane},"name":"{name}","fields":{fields}}}"#
@@ -583,6 +596,13 @@ mod tests {
                 r#"{"id":4,"parent":3,"span":"compute"}"#,
             ),
             line(85 * ms, 2, "span.end", r#"{"id":4,"span":"compute"}"#),
+            line(
+                86 * ms,
+                2,
+                "span.begin",
+                r#"{"id":5,"parent":3,"span":"journal.flush"}"#,
+            ),
+            line(89 * ms, 2, "span.end", r#"{"id":5,"span":"journal.flush"}"#),
             line(90 * ms, 2, "span.end", r#"{"id":3,"span":"job"}"#),
             line(100 * ms, 1, "span.end", r#"{"id":1,"span":"sweep"}"#),
         ]
@@ -596,12 +616,23 @@ mod tests {
         assert!(report.contains("3 deep"), "{report}");
         assert!(report.contains("job #1"), "{report}");
         assert!(!report.contains("job #0"), "job #0 is off-path: {report}");
-        assert!(report.contains("compute"), "{report}");
-        assert!(report.contains("sweep: wait before job"), "{report}");
-        assert!(report.contains("sweep: drain after job"), "{report}");
-        // The telescoping segments always cover the whole root span.
+        let row = |label: &str, ms: &str| {
+            report
+                .lines()
+                .any(|l| l.trim_start().starts_with(label) && l.contains(ms))
+        };
+        // The compute sibling that ran before the last finisher is
+        // compute, not waiting.
+        assert!(!report.contains("wait before"), "{report}");
+        assert!(row("job: compute ", "40.0ms"), "{report}");
+        assert!(row("job: unattributed ", "7.0ms"), "{report}");
+        assert!(row("sweep: job ", "20.0ms"), "{report}");
+        assert!(row("sweep: unattributed ", "30.0ms"), "{report}");
+        assert!(row("journal.flush ", "3.0ms"), "{report}");
+        // Every segment is accounted for; only the named ones count as
+        // attributed.
         assert!(
-            report.contains("attributed: 100.0% of the 100.0ms"),
+            report.contains("attributed: 63.0% of the 100.0ms"),
             "{report}"
         );
     }
