@@ -1,24 +1,26 @@
-//! Array write campaigns: per-cell Monte-Carlo WER ensembles sharded
-//! across the shared worker pool.
+//! Array write campaigns: per-cell Monte-Carlo WER ensembles packed
+//! densely into lane blocks on the shared worker pool.
 //!
 //! A campaign runs one WER ensemble per cell of an array, each cell
-//! under its own applied stray field and drive. The work is flattened
-//! into `(cell, lane block)` items so the pool load-balances across the
-//! whole array rather than cell by cell, and each item reduces its
-//! block to three counters on the worker (**streaming aggregation** —
-//! per-replica outcomes never leave the worker thread, so a 64-cell ×
-//! 4096-trajectory campaign allocates a few kilobytes, not millions of
-//! `ReplicaOutcome`s).
+//! under its own applied stray field and drive. Its replicas are laid
+//! out in (cell, replica) order and cut into blocks of [`LANES`] lanes
+//! regardless of cell boundaries — a lane carries its own cell's
+//! coefficients, drive and stream — so only the batch's last block holds
+//! padding, and the pool balances across the whole array rather than
+//! cell by cell. Each block reduces to one switched flag per lane on the
+//! worker (**streaming aggregation** — per-replica outcomes never leave
+//! the worker thread, and nothing is allocated per replica or per
+//! block).
 //!
 //! Determinism contract: cell `c` runs on the derived seed
 //! [`cell_seed`]`(plan.seed, c)` and every replica inside it on the
 //! usual [`crate::llgs::replica_rng`] stream — both FNV-1a mixes of
 //! position only. The campaign is therefore **bit-identical** to
 //! running [`crate::wer_monte_carlo`] per cell with the derived seed,
-//! for any worker count, lane blocking, or cell count (property-tested
-//! in this module and in `tests/props.rs`).
+//! for any worker count, packing, or cell count (property-tested in
+//! this module and in `tests/props.rs`).
 
-use crate::ensemble::{run_block, EnsemblePlan, LANES};
+use crate::ensemble::{run_lanes, EnsemblePlan, LaneSpec, LANES};
 use crate::llgs::MacrospinParams;
 use crate::mc::WerEstimate;
 use mramsim_numerics::hash::Fnv1a;
@@ -142,58 +144,45 @@ pub fn wer_campaign_seeded(
         ));
     }
     let _campaign_span = campaign_span;
-    let plans: Vec<EnsemblePlan> = seeds
-        .iter()
-        .map(|&seed| EnsemblePlan { seed, ..*plan })
-        .collect();
 
-    // Flatten to (cell, first replica of block) so the pool balances
-    // across the whole campaign, not per cell.
-    let items: Vec<(usize, u64)> = (0..cells.len())
-        .flat_map(|c| {
-            (0..plan.trajectories as u64)
-                .step_by(LANES)
-                .map(move |first| (c, first))
-        })
-        .collect();
-
-    // Each item reduces its lane block to (live lanes, failures) on the
-    // worker; only those counters cross threads.
-    let summaries: Vec<(usize, usize, usize)> = pool.scoped_map(&items, |_, &(cell, first)| {
-        let block = run_block(
-            &cells[cell].params,
-            cells[cell].current,
-            pulse,
-            &plans[cell],
-            first,
-        );
-        let live = LANES.min(plan.trajectories - first as usize);
-        let failures = block[..live].iter().filter(|o| !o.switched).count();
-        (cell, live, failures)
+    // Replica `g` of the batch is replica `g % n` of cell `g / n`; lanes
+    // past the last replica repeat it and are discarded.
+    let n = plan.trajectories;
+    let total = cells.len() * n;
+    let steps = plan.steps_for(pulse);
+    let blocks: Vec<usize> = (0..total).step_by(LANES).collect();
+    let switched: Vec<[bool; LANES]> = pool.scoped_map(&blocks, |_, &first| {
+        let lanes = core::array::from_fn(|l| {
+            let g = (first + l).min(total - 1);
+            let cell = &cells[g / n];
+            LaneSpec {
+                params: &cell.params,
+                current: cell.current,
+                seed: seeds[g / n],
+                index: (g % n) as u64,
+            }
+        });
+        run_lanes(&lanes, steps, plan.dt, plan.thermal).map(|o| o.switched)
     });
 
-    let mut trajectories = vec![0usize; cells.len()];
     let mut failures = vec![0usize; cells.len()];
-    for (cell, live, failed) in summaries {
-        trajectories[cell] += live;
-        failures[cell] += failed;
+    for (&first, block) in blocks.iter().zip(&switched) {
+        for (g, &ok) in (first..total.min(first + LANES)).zip(block) {
+            failures[g / n] += usize::from(!ok);
+        }
     }
     // The campaign is the batch producer of WER estimates — count them
     // here so `llgs.wer_estimates` / `llgs.trajectories` cover both the
     // per-cell and the standalone Monte-Carlo entry points.
     if telemetry::enabled() {
         telemetry::counter_add("llgs.wer_estimates", cells.len() as u64);
-        telemetry::counter_add(
-            "llgs.trajectories",
-            (cells.len() * plan.trajectories) as u64,
-        );
+        telemetry::counter_add("llgs.trajectories", total as u64);
     }
     // Estimator health is the caller's to report: only it knows what
     // an entry stands for (a cell, or a window class and its members).
-    trajectories
+    failures
         .into_iter()
-        .zip(failures)
-        .map(|(n, failed)| WerEstimate::from_counts(n, failed))
+        .map(|failed| WerEstimate::from_counts(n, failed))
         .collect()
 }
 

@@ -1,25 +1,34 @@
 //! Lane-blocked trajectory ensembles on the shared worker pool.
 //!
-//! N replicas are stepped in blocks of [`LANES`] lanes held in
-//! structure-of-arrays form (mirroring the 16-lane batched field
-//! kernels of `mramsim-magnetics`): each step first fills the per-lane
-//! thermal-field arrays — the block's xoshiro states advance together
-//! in SoA form and the ziggurat fast path runs across all lanes, only
-//! its ≈1.5% misses finishing lane by lane — then runs one branch-free
-//! arithmetic pass over the lanes — a loop the compiler keeps in SIMD
-//! registers — and finally scans for barrier crossings. Blocks fan out
-//! as work items on [`mramsim_numerics::pool`].
+//! One kernel, [`run_lanes`], steps every replica the crate simulates
+//! outside the scalar reference: a block of [`LANES`] lanes held in
+//! structure-of-arrays form (mirroring the 16-lane batched field kernels
+//! of `mramsim-magnetics`). Each lane carries its own coefficients,
+//! drive, noise scale and `(seed, replica index)` stream, so one block
+//! may hold replicas of several ensembles: [`run_ensemble`] fills blocks
+//! from one ensemble, the array write campaign packs a whole batch of
+//! ensembles densely. Each step first fills the per-lane thermal-field
+//! arrays — the block's xoshiro states advance together in SoA form and
+//! the ziggurat fast path runs across all lanes, only its ≈1.5% misses
+//! finishing lane by lane — then runs one branch-free arithmetic pass
+//! over the lanes — a loop the compiler keeps in SIMD registers — and
+//! finally scans for barrier crossings. Blocks fan out as work items on
+//! [`mramsim_numerics::pool`]. Lanes past the last replica of a batch
+//! repeat a live lane and are discarded, so only a batch's last block
+//! computes padding.
 //!
 //! Determinism contract: every replica owns an RNG stream derived only
 //! from `(seed, replica index)` ([`crate::llgs::replica_rng`]) and draws
-//! its thermal field x, then y, then z from it; the lane pass applies
-//! [`crate::llgs::heun_step`] verbatim per lane — so the ensemble result
-//! is **bit-identical** to stepping each replica through the scalar
-//! reference path ([`run_replica`]), no matter how replicas are blocked
-//! or how many workers execute the blocks. That is what makes
-//! Monte-Carlo results content-addressable by the engine cache.
+//! its initial angle, then its thermal field x, y, z per step, from it;
+//! the lane pass applies [`crate::llgs::heun_step`] verbatim per lane,
+//! on that lane's [`DriftCoeffs`] — so the ensemble result is
+//! **bit-identical** to stepping each replica through the scalar
+//! reference path ([`run_replica`]), no matter how replicas are blocked,
+//! which ensembles share a block, or how many workers execute the
+//! blocks. That is what makes Monte-Carlo results content-addressable by
+//! the engine cache.
 
-use crate::llgs::{heun_step, replica_rng, thermal_field, MacrospinParams};
+use crate::llgs::{heun_step, replica_rng, thermal_field, DriftCoeffs, MacrospinParams};
 use crate::stream::LaneStreams;
 use crate::DynamicsError;
 use mramsim_numerics::dist::Ziggurat;
@@ -54,6 +63,13 @@ impl EnsemblePlan {
     /// request would abort the process on allocation instead of
     /// failing as a parameter error.
     pub const MAX_TRAJECTORIES: usize = 1 << 20;
+
+    /// The most Heun steps one replica may take (2^20), over 50× the
+    /// longest span a scenario asks for by default (`switch-traj`'s
+    /// 7,500 steps). A `1 s` pulse at 2 ps would hold a worker for
+    /// hours and stall a server's drain; it fails as a parameter error
+    /// instead ([`Self::checked_steps_for`]).
+    pub const MAX_STEPS: usize = 1 << 20;
 
     /// A plan with thermal noise enabled.
     ///
@@ -98,7 +114,36 @@ impl EnsemblePlan {
     /// integer snap to it, so `1 ns / 1 ps` is 1000 steps, not 1001.
     #[must_use]
     pub fn steps_for(&self, duration: f64) -> usize {
-        crate::llgs::snapped_steps(duration, self.dt)
+        let ratio = duration / self.dt;
+        let snapped = if (ratio - ratio.round()).abs() < 1e-6 * ratio.abs().max(1.0) {
+            ratio.round()
+        } else {
+            ratio.ceil()
+        };
+        (snapped as usize).max(1)
+    }
+
+    /// [`Self::steps_for`], refused past [`Self::MAX_STEPS`]. Callers
+    /// check a span with it before any block runs.
+    ///
+    /// # Errors
+    ///
+    /// [`DynamicsError::InvalidParameter`] (`steps`) when the span
+    /// needs more than [`Self::MAX_STEPS`] steps.
+    pub fn checked_steps_for(&self, duration: f64) -> Result<usize, DynamicsError> {
+        let steps = self.steps_for(duration);
+        if steps > Self::MAX_STEPS {
+            return Err(DynamicsError::InvalidParameter {
+                name: "steps",
+                message: format!(
+                    "a span of {duration:e} s at dt = {:e} s needs {steps} Heun steps per \
+                     replica, more than {}",
+                    self.dt,
+                    Self::MAX_STEPS
+                ),
+            });
+        }
+        Ok(steps)
     }
 }
 
@@ -135,7 +180,8 @@ pub fn run_replica(
     } else {
         0.0
     };
-    let dest = params.stt_sign();
+    let coeffs = params.coeffs();
+    let dest = coeffs.stt_sign;
     let mut rng = replica_rng(plan.seed, index);
     let mut m = params.initial_m(&mut rng);
     let mut crossing_time = None;
@@ -145,7 +191,7 @@ pub fn run_replica(
         } else {
             Vec3::ZERO
         };
-        m = heun_step(params, m, h_noise, aj, plan.dt);
+        m = heun_step(&coeffs, m, h_noise, aj, plan.dt);
         if crossing_time.is_none() && m.z * dest > 0.0 {
             crossing_time = Some((k + 1) as f64 * plan.dt);
         }
@@ -157,35 +203,84 @@ pub fn run_replica(
     }
 }
 
-/// One full lane block: replicas `first..first+LANES` in SoA form.
-/// Lanes past `plan.trajectories` are computed and discarded by the
-/// caller (padding keeps the arithmetic pass branch-free). Shared with
-/// the array write campaign, which reduces each block in place instead
-/// of collecting per-replica outcomes.
-pub(crate) fn run_block(
-    params: &MacrospinParams,
-    current: f64,
-    duration: f64,
-    plan: &EnsemblePlan,
-    first: u64,
+/// One lane of a block: replica `index` of the ensemble seeded `seed`,
+/// stepped under `params` at a drive of `current` amperes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneSpec<'a> {
+    pub(crate) params: &'a MacrospinParams,
+    pub(crate) current: f64,
+    pub(crate) seed: u64,
+    pub(crate) index: u64,
+}
+
+/// The [`DriftCoeffs`] of a block's lanes, one array per coefficient,
+/// so the lane pass loads them across lanes like the state.
+struct LaneCoeffs {
+    hx: [f64; LANES],
+    hy: [f64; LANES],
+    hz: [f64; LANES],
+    hk_eff: [f64; LANES],
+    stt_sign: [f64; LANES],
+    gamma_eff: [f64; LANES],
+    alpha_eff: [f64; LANES],
+}
+
+impl LaneCoeffs {
+    fn new(coeffs: [DriftCoeffs; LANES]) -> Self {
+        Self {
+            hx: coeffs.map(|c| c.h_app.x),
+            hy: coeffs.map(|c| c.h_app.y),
+            hz: coeffs.map(|c| c.h_app.z),
+            hk_eff: coeffs.map(|c| c.hk_eff),
+            stt_sign: coeffs.map(|c| c.stt_sign),
+            gamma_eff: coeffs.map(|c| c.gamma_eff),
+            alpha_eff: coeffs.map(|c| c.alpha_eff),
+        }
+    }
+
+    /// Lane `l`'s coefficients.
+    #[inline(always)]
+    fn lane(&self, l: usize) -> DriftCoeffs {
+        DriftCoeffs {
+            h_app: Vec3::new(self.hx[l], self.hy[l], self.hz[l]),
+            hk_eff: self.hk_eff[l],
+            stt_sign: self.stt_sign[l],
+            gamma_eff: self.gamma_eff[l],
+            alpha_eff: self.alpha_eff[l],
+        }
+    }
+}
+
+/// The lane-block kernel: steps the [`LANES`] replicas `lanes` for
+/// `steps` Heun steps of `dt` seconds, each on its own coefficients,
+/// drive, noise scale and stream, with the thermal field on or off for
+/// the whole block. Lane `l`'s outcome is bit-identical to
+/// [`run_replica`] of `lanes[l]`.
+pub(crate) fn run_lanes(
+    lanes: &[LaneSpec<'_>; LANES],
+    steps: usize,
+    dt: f64,
+    thermal: bool,
 ) -> [ReplicaOutcome; LANES] {
     let block_span = telemetry::span("llgs.block_s");
-    let steps = plan.steps_for(duration);
-    let aj = params.aj_of(current);
-    let sigma = if plan.thermal {
-        params.thermal_sigma(plan.dt)
-    } else {
-        0.0
-    };
-    let dest = params.stt_sign();
+    let coeffs = LaneCoeffs::new(lanes.map(|lane| lane.params.coeffs()));
+    let aj = lanes.map(|lane| lane.params.aj_of(lane.current));
+    let sigma = lanes.map(|lane| {
+        if thermal {
+            lane.params.thermal_sigma(dt)
+        } else {
+            0.0
+        }
+    });
+    let dest = coeffs.stt_sign;
 
     let zig = Ziggurat::get();
-    let mut streams = LaneStreams::new(plan.seed, first);
+    let mut streams = LaneStreams::from_fn(|l| (lanes[l].seed, lanes[l].index));
     let mut mx = [0.0f64; LANES];
     let mut my = [0.0f64; LANES];
     let mut mz = [0.0f64; LANES];
-    for l in 0..LANES {
-        let m0 = params.initial_m(&mut streams.lane(l));
+    for (l, lane) in lanes.iter().enumerate() {
+        let m0 = lane.params.initial_m(&mut streams.lane(l));
         mx[l] = m0.x;
         my[l] = m0.y;
         mz[l] = m0.z;
@@ -199,40 +294,41 @@ pub(crate) fn run_block(
         // 1) Thermal field, one component across all lanes at a time:
         //    each lane still draws x, then y, then z from its own
         //    stream, so interleaving lanes cannot change any stream.
-        if plan.thermal {
-            hx = streams.normals(zig, sigma);
-            hy = streams.normals(zig, sigma);
-            hz = streams.normals(zig, sigma);
+        if thermal {
+            hx = streams.normals(zig, &sigma);
+            hy = streams.normals(zig, &sigma);
+            hz = streams.normals(zig, &sigma);
         }
         // 2) The branch-free arithmetic pass — the same `heun_step`
         //    expression tree per lane as the scalar path.
         for l in 0..LANES {
             let m = heun_step(
-                params,
+                &coeffs.lane(l),
                 Vec3::new(mx[l], my[l], mz[l]),
                 Vec3::new(hx[l], hy[l], hz[l]),
-                aj,
-                plan.dt,
+                aj[l],
+                dt,
             );
             mx[l] = m.x;
             my[l] = m.y;
             mz[l] = m.z;
         }
         // 3) Crossing scan.
-        let t = (k + 1) as f64 * plan.dt;
+        let t = (k + 1) as f64 * dt;
         for l in 0..LANES {
-            if crossing[l].is_none() && mz[l] * dest > 0.0 {
+            if crossing[l].is_none() && mz[l] * dest[l] > 0.0 {
                 crossing[l] = Some(t);
             }
         }
     }
 
     // One emit per block, not per step: the hot loop itself is never
-    // touched by telemetry.
+    // touched by telemetry. Padding lanes count: these are the
+    // lane-steps computed.
     if telemetry::enabled() {
         let lane_steps = (steps * LANES) as u64;
         telemetry::counter_add("llgs.steps", lane_steps);
-        if plan.thermal {
+        if thermal {
             telemetry::counter_add("llgs.thermal_draws", lane_steps);
         }
     }
@@ -240,7 +336,7 @@ pub(crate) fn run_block(
 
     core::array::from_fn(|l| ReplicaOutcome {
         final_m: Vec3::new(mx[l], my[l], mz[l]),
-        switched: mz[l] * dest > 0.0,
+        switched: mz[l] * dest[l] > 0.0,
         crossing_time: crossing[l],
     })
 }
@@ -291,10 +387,19 @@ pub fn run_ensemble(
         ));
     }
     let _ensemble_span = ensemble_span;
+    let steps = plan.steps_for(duration);
+    let last = (plan.trajectories as u64).saturating_sub(1);
     let blocks: Vec<u64> = (0..plan.trajectories as u64).step_by(LANES).collect();
     let mut out: Vec<ReplicaOutcome> = pool
         .scoped_map(&blocks, |_, &first| {
-            run_block(params, current, duration, plan, first)
+            // Lanes past the last replica repeat it; truncated below.
+            let lanes = core::array::from_fn(|l| LaneSpec {
+                params,
+                current,
+                seed: plan.seed,
+                index: (first + l as u64).min(last),
+            });
+            run_lanes(&lanes, steps, plan.dt, plan.thermal)
         })
         .into_iter()
         .flatten()
@@ -307,7 +412,7 @@ pub fn run_ensemble(
 mod tests {
     use super::*;
     use mramsim_mtj::{presets, SwitchDirection};
-    use mramsim_units::{Kelvin, Nanometer};
+    use mramsim_units::{Kelvin, Nanometer, Oersted};
 
     fn params() -> MacrospinParams {
         let device = presets::imec_like(Nanometer::new(35.0)).unwrap();
@@ -337,6 +442,56 @@ mod tests {
     }
 
     #[test]
+    fn a_block_mixing_three_ensembles_bit_matches_each_replica_alone() {
+        let device = presets::imec_like(Nanometer::new(35.0)).unwrap();
+        let at = |direction, hz| {
+            MacrospinParams::from_device(&device, direction, Kelvin::new(300.0))
+                .unwrap()
+                .with_applied_hz(Oersted::new(hz))
+        };
+        // (coefficients, overdrive, seed, first replica index, lanes)
+        let ensembles = [
+            (at(SwitchDirection::ApToP, -300.0), 4.0, 41, 0, 5),
+            (at(SwitchDirection::PToAp, 120.0), 6.0, 42, 11, 7),
+            (at(SwitchDirection::ApToP, 80.0), 2.5, 43, 3, 4),
+        ];
+        let lanes: Vec<LaneSpec<'_>> = ensembles
+            .iter()
+            .flat_map(|(params, over, seed, first, count)| {
+                (*first..first + count).map(move |index| LaneSpec {
+                    params,
+                    current: over * params.critical_current(),
+                    seed: *seed,
+                    index,
+                })
+            })
+            .collect();
+        let lanes: [LaneSpec<'_>; LANES] = lanes.try_into().unwrap();
+        let (dt, duration) = (2e-12, 2e-9);
+        for thermal in [true, false] {
+            let steps = EnsemblePlan::new(1, 0, dt).unwrap().steps_for(duration);
+            let block = run_lanes(&lanes, steps, dt, thermal);
+            for (l, (lane, got)) in lanes.iter().zip(&block).enumerate() {
+                let plan = EnsemblePlan::new(1, lane.seed, dt)
+                    .unwrap()
+                    .with_thermal(thermal);
+                let reference = run_replica(lane.params, lane.current, duration, &plan, lane.index);
+                assert_eq!(
+                    got.final_m.x.to_bits(),
+                    reference.final_m.x.to_bits(),
+                    "lane {l}, thermal {thermal}"
+                );
+                assert_eq!(got.final_m.y.to_bits(), reference.final_m.y.to_bits());
+                assert_eq!(got.final_m.z.to_bits(), reference.final_m.z.to_bits());
+                assert_eq!(got.switched, reference.switched, "lane {l}");
+                assert_eq!(got.crossing_time, reference.crossing_time, "lane {l}");
+            }
+            // Both outcomes occur, so the comparison covers both.
+            assert!(block.iter().any(|o| o.switched) && block.iter().any(|o| !o.switched));
+        }
+    }
+
+    #[test]
     fn worker_count_does_not_change_results() {
         let p = params();
         let plan = EnsemblePlan::new(40, 5, 2e-12).unwrap();
@@ -354,6 +509,20 @@ mod tests {
         let plan = EnsemblePlan::new(8, 1, 1e-12).unwrap();
         assert_eq!(plan.steps_for(1e-9), 1000);
         assert_eq!(plan.steps_for(1e-13), 1);
+    }
+
+    #[test]
+    fn plan_caps_the_step_count() {
+        let max = EnsemblePlan::MAX_STEPS;
+        assert_eq!(max, 1 << 20);
+        let plan = EnsemblePlan::new(8, 1, 1e-12).unwrap();
+        assert_eq!(plan.checked_steps_for(max as f64 * 1e-12), Ok(max));
+        for span in [(max + 1) as f64 * 1e-12, 1.0, f64::MAX] {
+            assert!(matches!(
+                plan.checked_steps_for(span),
+                Err(DynamicsError::InvalidParameter { name: "steps", .. })
+            ));
+        }
     }
 
     #[test]

@@ -14,20 +14,22 @@
 //!   array stray-field kernel passes its total field (see
 //!   [`crate::llgs`] for the model and the calibration contract),
 //! * [`heun_step`] — the Stratonovich–Heun stepper on
-//!   [`mramsim_numerics::Vec3`],
-//! * [`run_ensemble`] — N replicas stepped in 16-lane SoA blocks,
-//!   fanned out on [`mramsim_numerics::pool`], bit-identical to the
-//!   scalar reference [`run_replica`] for identical seeds; each replica
-//!   draws its thermal field from the ziggurat sampler
-//!   ([`mramsim_numerics::dist::Ziggurat`]) on its own xoshiro256++
-//!   stream ([`llgs::replica_rng`]), whose states a lane block advances
-//!   together,
+//!   [`mramsim_numerics::Vec3`], over one replica's [`DriftCoeffs`],
+//! * one lane-block kernel that steps 16 replicas in SoA form, each on
+//!   its own coefficients, drive, noise scale and stream, so a block
+//!   may mix ensembles. Each replica draws its thermal field from the
+//!   ziggurat sampler ([`mramsim_numerics::dist::Ziggurat`]) on its own
+//!   xoshiro256++ stream ([`llgs::replica_rng`]), whose states a block
+//!   advances together. Every output is bit-identical to the scalar
+//!   reference [`run_replica`] for identical seeds,
+//! * [`run_ensemble`] — N replicas of one ensemble through that kernel,
+//!   fanned out on [`mramsim_numerics::pool`],
 //! * [`wer_monte_carlo`] / [`switching_time_distribution`] — the
 //!   Monte-Carlo estimators surfaced by the engine's `wer-mc` and
 //!   `switch-traj` scenarios,
 //! * [`wer_campaign`] — one WER ensemble per array cell (each under its
-//!   own stray field and drive), flattened into lane-block work items
-//!   with deterministic per-cell FNV seed streams and streaming
+//!   own stray field and drive), packed densely across cells into lane
+//!   blocks with deterministic per-cell FNV seed streams and streaming
 //!   per-block aggregation; [`wer_campaign_seeded`] takes the seeds
 //!   from the caller — the substrate of the window-class campaigns
 //!   behind `array-wer` and `array-wer-shard`,
@@ -71,6 +73,6 @@ mod stream;
 pub use campaign::{cell_seed, wer_campaign, wer_campaign_seeded, CellDrive};
 pub use ensemble::{run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANES};
 pub use error::DynamicsError;
-pub use llgs::{heun_step, record_trajectory, MacrospinParams, GAMMA_0, GYROMAGNETIC_RATIO};
+pub use llgs::{heun_step, DriftCoeffs, MacrospinParams, GAMMA_0, GYROMAGNETIC_RATIO};
 pub use mc::{switching_time_distribution, wer_monte_carlo, SwitchingTimes, WerEstimate};
 pub use memo::EnsembleMemo;

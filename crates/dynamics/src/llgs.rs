@@ -218,18 +218,6 @@ impl MacrospinParams {
         .map(f64::to_bits)
     }
 
-    /// Effective damping after calibration.
-    #[must_use]
-    pub fn alpha_eff(&self) -> f64 {
-        self.alpha_eff
-    }
-
-    /// The thermodynamically consistent anisotropy field \[A/m\].
-    #[must_use]
-    pub fn hk_eff(&self) -> f64 {
-        self.hk_eff
-    }
-
     /// The applied field in simulator (reduced) units \[A/m\].
     #[must_use]
     pub fn applied_field(&self) -> Vec3 {
@@ -240,12 +228,6 @@ impl MacrospinParams {
     #[must_use]
     pub fn initial_mz(&self) -> f64 {
         self.initial_mz
-    }
-
-    /// The STT destination sign (`p̂ = stt_sign·ẑ`).
-    #[must_use]
-    pub fn stt_sign(&self) -> f64 {
-        self.stt_sign
     }
 
     /// The stability factor of the *initial* well under the current
@@ -326,6 +308,40 @@ impl MacrospinParams {
         )
     }
 
+    /// The coefficients the drift reads, for [`heun_step`].
+    #[must_use]
+    pub fn coeffs(&self) -> DriftCoeffs {
+        DriftCoeffs {
+            h_app: self.h_app,
+            hk_eff: self.hk_eff,
+            stt_sign: self.stt_sign,
+            gamma_eff: self.gamma_eff,
+            alpha_eff: self.alpha_eff,
+        }
+    }
+}
+
+/// The coefficients of the deterministic drift: everything a
+/// [`heun_step`] reads besides the state, the fields and the step.
+///
+/// The scalar reference path passes one per replica, and the lane
+/// kernel one per lane, so a coefficient added here reaches both paths
+/// or neither.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriftCoeffs {
+    /// Applied field in simulator (reduced) units \[A/m\].
+    pub h_app: Vec3,
+    /// The thermodynamically consistent anisotropy field \[A/m\].
+    pub hk_eff: f64,
+    /// The STT destination sign (`p̂ = stt_sign·ẑ`).
+    pub stt_sign: f64,
+    /// `γ₀/(1+α²)` \[m/(A·s)\].
+    pub gamma_eff: f64,
+    /// Effective Gilbert damping.
+    pub alpha_eff: f64,
+}
+
+impl DriftCoeffs {
     /// The deterministic drift `dm/dt` at `m` under thermal field
     /// `h_noise` and spin-torque field `aj` (A/m, signed along `p̂`).
     #[inline]
@@ -347,14 +363,14 @@ impl MacrospinParams {
 /// One Stratonovich–Heun step of length `dt` with frozen thermal field
 /// `h_noise`, followed by projection back to `|m| = 1`.
 ///
-/// Shared verbatim by the scalar reference path and the lane-blocked
-/// ensemble, which is what makes the two bit-identical per replica.
+/// Shared verbatim by the scalar reference path and the lane kernel,
+/// which is what makes the two bit-identical per replica.
 #[inline]
 #[must_use]
-pub fn heun_step(params: &MacrospinParams, m: Vec3, h_noise: Vec3, aj: f64, dt: f64) -> Vec3 {
-    let f1 = params.drift(m, h_noise, aj);
+pub fn heun_step(coeffs: &DriftCoeffs, m: Vec3, h_noise: Vec3, aj: f64, dt: f64) -> Vec3 {
+    let f1 = coeffs.drift(m, h_noise, aj);
     let predictor = m + f1 * dt;
-    let f2 = params.drift(predictor, h_noise, aj);
+    let f2 = coeffs.drift(predictor, h_noise, aj);
     let corrected = m + (f1 + f2) * (0.5 * dt);
     corrected / corrected.norm()
 }
@@ -369,64 +385,6 @@ pub fn thermal_field<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Vec3 {
     let ny = zig.sample(rng);
     let nz = zig.sample(rng);
     Vec3::new(nx * sigma, ny * sigma, nz * sigma)
-}
-
-/// The number of Heun steps covering `duration` seconds at step `dt`
-/// (at least one). Ratios within rounding error of an integer snap to
-/// it, so `1 ns / 1 ps` is 1000 steps, not 1001 — shared by the
-/// ensemble plan and the trajectory recorder so both paths agree.
-pub(crate) fn snapped_steps(duration: f64, dt: f64) -> usize {
-    let ratio = duration / dt;
-    let snapped = if (ratio - ratio.round()).abs() < 1e-6 * ratio.abs().max(1.0) {
-        ratio.round()
-    } else {
-        ratio.ceil()
-    };
-    (snapped as usize).max(1)
-}
-
-/// Integrates one trajectory and records `(t, m)` every `every` steps
-/// (plus the final state) — the inspection/debug path; the Monte-Carlo
-/// ensembles use the lane-blocked stepper instead.
-///
-/// # Panics
-///
-/// Panics for a non-positive `dt` or `duration`.
-#[must_use]
-pub fn record_trajectory(
-    params: &MacrospinParams,
-    current: f64,
-    duration: f64,
-    dt: f64,
-    thermal: bool,
-    seed: u64,
-    every: usize,
-) -> Vec<(f64, Vec3)> {
-    assert!(dt > 0.0 && duration > 0.0, "need positive dt and duration");
-    let steps = snapped_steps(duration, dt);
-    let every = every.max(1);
-    let mut rng = replica_rng(seed, 0);
-    let mut m = params.initial_m(&mut rng);
-    let aj = params.aj_of(current);
-    let sigma = if thermal {
-        params.thermal_sigma(dt)
-    } else {
-        0.0
-    };
-    let mut out = Vec::with_capacity(steps / every + 2);
-    out.push((0.0, m));
-    for k in 0..steps {
-        let h_noise = if thermal {
-            thermal_field(&mut rng, sigma)
-        } else {
-            Vec3::ZERO
-        };
-        m = heun_step(params, m, h_noise, aj, dt);
-        if (k + 1) % every == 0 || k + 1 == steps {
-            out.push(((k + 1) as f64 * dt, m));
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -538,15 +496,26 @@ mod tests {
         }
     }
 
+    /// One replica at 1 ps steps with the thermal field off: the bath
+    /// acts only through the initial angle drawn on stream `(seed, 0)`.
+    fn deterministic_replica(
+        params: &MacrospinParams,
+        current: f64,
+        span: f64,
+        seed: u64,
+    ) -> crate::ReplicaOutcome {
+        let plan = crate::EnsemblePlan::new(1, seed, 1e-12)
+            .unwrap()
+            .with_thermal(false);
+        crate::run_replica(params, current, span, &plan, 0)
+    }
+
     #[test]
     fn zero_temperature_relaxation_conserves_norm_and_finds_easy_axis() {
         let dev = device();
         let params = MacrospinParams::from_device(&dev, SwitchDirection::ApToP, T300).unwrap();
-        let traj = record_trajectory(&params, 0.0, 20e-9, 1e-12, false, 42, 100);
-        for (_, m) in &traj {
-            assert!((m.norm() - 1.0).abs() < 1e-12);
-        }
-        let (_, last) = traj.last().unwrap();
+        let last = deterministic_replica(&params, 0.0, 20e-9, 42).final_m;
+        assert!((last.norm() - 1.0).abs() < 1e-12);
         // AP→P starts in the −z well; with no drive it relaxes back down.
         assert!(last.z < -0.999, "final m = {last:?}");
     }
@@ -556,8 +525,7 @@ mod tests {
         let dev = device();
         let params = MacrospinParams::from_device(&dev, SwitchDirection::ApToP, T300).unwrap();
         let ic = params.critical_current();
-        let traj = record_trajectory(&params, 4.0 * ic, 10e-9, 1e-12, false, 3, 200);
-        let (_, last) = traj.last().unwrap();
+        let last = deterministic_replica(&params, 4.0 * ic, 10e-9, 3).final_m;
         assert!(last.z > 0.999, "final m = {last:?}");
     }
 
@@ -573,11 +541,8 @@ mod tests {
         let delta = params.delta_init();
         let t_mean =
             0.5 * tau_d * (EULER_GAMMA + (core::f64::consts::PI.powi(2) * delta / 4.0).ln());
-        let traj = record_trajectory(&params, i, 4.0 * t_mean, 1e-12, false, 11, 1);
-        let crossing = traj
-            .iter()
-            .find(|(_, m)| m.z > 0.0)
-            .map(|(t, _)| *t)
+        let crossing = deterministic_replica(&params, i, 4.0 * t_mean, 11)
+            .crossing_time
             .expect("must switch within 4 mean times");
         assert!(
             crossing > 0.2 * t_mean && crossing < 3.0 * t_mean,

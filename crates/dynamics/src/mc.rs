@@ -162,8 +162,9 @@ pub struct SwitchingTimes {
 ///
 /// # Errors
 ///
-/// [`DynamicsError::InvalidParameter`] for a non-positive `duration`
-/// or zero `bins`.
+/// [`DynamicsError::InvalidParameter`] for a non-positive `duration`,
+/// a span longer than [`EnsemblePlan::MAX_STEPS`] steps, or zero
+/// `bins`.
 pub fn switching_time_distribution(
     params: &MacrospinParams,
     current: f64,
@@ -178,6 +179,7 @@ pub fn switching_time_distribution(
             message: format!("simulated span must be positive and finite, got {duration}"),
         });
     }
+    let steps = plan.checked_steps_for(duration)?;
     if bins == 0 {
         return Err(DynamicsError::InvalidParameter {
             name: "bins",
@@ -188,7 +190,7 @@ pub fn switching_time_distribution(
     // overshoot a non-commensurate `duration`), nudged one part in 1e12
     // above it so a final-step crossing lands in the last bin instead
     // of the invisible overflow counter.
-    let end_ns = plan.steps_for(duration) as f64 * plan.dt * 1e9;
+    let end_ns = steps as f64 * plan.dt * 1e9;
     let mut histogram = Histogram::new(0.0, end_ns * (1.0 + 1e-12), bins)?;
     let outcomes = run_ensemble(params, current, duration, plan, pool);
     let times_ns: Vec<f64> = outcomes

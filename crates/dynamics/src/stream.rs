@@ -9,14 +9,15 @@
 //! Two forms share one state-update function ([`xoshiro_next`]):
 //!
 //! * [`ReplicaStream`] ([`replica_rng`]) — one replica, for the scalar
-//!   reference path ([`crate::run_replica`],
-//!   [`crate::record_trajectory`]);
-//! * [`LaneStreams`] — [`LANES`] replicas in structure-of-arrays form
-//!   (`[[u64; LANES]; 4]`), advanced together so the integer update
-//!   vectorises. [`LaneStreams::normals`] runs the ziggurat fast path
-//!   across all lanes and finishes only the misses on each lane's own
-//!   stream, so every lane consumes its words in exactly the order the
-//!   scalar path does.
+//!   reference path ([`crate::run_replica`]);
+//! * [`LaneStreams`] — the streams of one lane block's [`LANES`]
+//!   replicas in structure-of-arrays form (`[[u64; LANES]; 4]`),
+//!   advanced together so the integer update vectorises. Each lane is
+//!   seeded from its own `(seed, replica index)`, so one block may hold
+//!   replicas of several ensembles. [`LaneStreams::normals`] runs the
+//!   ziggurat fast path across all lanes and finishes only the misses
+//!   on each lane's own stream, so every lane consumes its words in
+//!   exactly the order the scalar path does.
 
 use crate::ensemble::LANES;
 use mramsim_numerics::dist::Ziggurat;
@@ -86,7 +87,7 @@ impl Rng for ReplicaStream {
     }
 }
 
-/// The streams of [`LANES`] consecutive replicas, one word of state
+/// The streams of one block's [`LANES`] replicas, one word of state
 /// per lane in each of four arrays.
 #[derive(Debug)]
 pub(crate) struct LaneStreams {
@@ -94,13 +95,14 @@ pub(crate) struct LaneStreams {
 }
 
 impl LaneStreams {
-    /// The streams of replicas `first..first + LANES` under ensemble
-    /// seed `seed`.
+    /// Lane `l` on the stream of replica `index` under ensemble seed
+    /// `seed`, where `(seed, index) = stream(l)`.
     #[must_use]
-    pub(crate) fn new(seed: u64, first: u64) -> Self {
+    pub(crate) fn from_fn(mut stream: impl FnMut(usize) -> (u64, u64)) -> Self {
         let mut s = [[0u64; LANES]; 4];
         for l in 0..LANES {
-            for (word, value) in s.iter_mut().zip(seeded_state(seed, first + l as u64)) {
+            let (seed, index) = stream(l);
+            for (word, value) in s.iter_mut().zip(seeded_state(seed, index)) {
                 word[l] = value;
             }
         }
@@ -126,15 +128,16 @@ impl LaneStreams {
         }
     }
 
-    /// One standard-normal variate per lane, scaled by `scale`: one
-    /// word from every lane at once, the ziggurat fast path on each,
-    /// and [`Ziggurat::slow`] on a rejected lane's own stream. Lane `l`
-    /// gets exactly the value `scale * zig.sample(&mut scalar_stream_l)`
-    /// would give. Always inlined: the lane pass of
-    /// [`crate::ensemble::run_block`] draws three of these per step, and
-    /// an out-of-line call there costs several percent of a campaign.
+    /// One standard-normal variate per lane, lane `l` scaled by
+    /// `scale[l]`: one word from every lane at once, the ziggurat fast
+    /// path on each, and [`Ziggurat::slow`] on a rejected lane's own
+    /// stream. Lane `l` gets exactly the value
+    /// `zig.sample(&mut scalar_stream_l) * scale[l]` would give. Always
+    /// inlined: the lane pass of [`crate::ensemble::run_lanes`] draws
+    /// three of these per step, and an out-of-line call there costs
+    /// several percent of a campaign.
     #[inline(always)]
-    pub(crate) fn normals(&mut self, zig: &Ziggurat, scale: f64) -> [f64; LANES] {
+    pub(crate) fn normals(&mut self, zig: &Ziggurat, scale: &[f64; LANES]) -> [f64; LANES] {
         let words = self.next_words();
         let mut z = [0.0f64; LANES];
         for l in 0..LANES {
@@ -143,7 +146,7 @@ impl LaneStreams {
                 _ => zig.slow(words[l], &mut self.lane(l)),
             };
         }
-        z.map(|v| v * scale)
+        core::array::from_fn(|l| z[l] * scale[l])
     }
 }
 
@@ -184,12 +187,25 @@ mod tests {
         }
     }
 
+    /// Lane `l`'s stream in the mixed blocks below: the first lanes of
+    /// the block in one ensemble, the rest in another.
+    fn mixed(seed: u64, first: u64, l: usize) -> (u64, u64) {
+        if l < 5 {
+            (seed, first + l as u64)
+        } else {
+            (seed ^ 0xA5A5, l as u64)
+        }
+    }
+
     #[test]
     fn lane_streams_reproduce_the_scalar_streams() {
         for (seed, first) in [(5, 0), (99, 16), (123_456, 4080)] {
-            let mut lanes = LaneStreams::new(seed, first);
-            let mut scalar: Vec<ReplicaStream> = (0..LANES as u64)
-                .map(|l| replica_rng(seed, first + l))
+            let mut lanes = LaneStreams::from_fn(|l| mixed(seed, first, l));
+            let mut scalar: Vec<ReplicaStream> = (0..LANES)
+                .map(|l| {
+                    let (seed, index) = mixed(seed, first, l);
+                    replica_rng(seed, index)
+                })
                 .collect();
             for k in 0..10_000 {
                 let words = lanes.next_words();
@@ -208,14 +224,18 @@ mod tests {
     #[test]
     fn lane_normals_match_scalar_ziggurat_draws() {
         let zig = Ziggurat::get();
-        let mut lanes = LaneStreams::new(11, 32);
-        let mut scalar: Vec<ReplicaStream> =
-            (0..LANES as u64).map(|l| replica_rng(11, 32 + l)).collect();
-        let scale = 3.7e4;
+        let mut lanes = LaneStreams::from_fn(|l| mixed(11, 32, l));
+        let mut scalar: Vec<ReplicaStream> = (0..LANES)
+            .map(|l| {
+                let (seed, index) = mixed(11, 32, l);
+                replica_rng(seed, index)
+            })
+            .collect();
+        let scale: [f64; LANES] = core::array::from_fn(|l| 3.7e4 * (1.0 + l as f64 / 8.0));
         for _ in 0..20_000 {
-            let z = lanes.normals(zig, scale);
+            let z = lanes.normals(zig, &scale);
             for (l, stream) in scalar.iter_mut().enumerate() {
-                assert_eq!(z[l].to_bits(), (zig.sample(stream) * scale).to_bits());
+                assert_eq!(z[l].to_bits(), (zig.sample(stream) * scale[l]).to_bits());
             }
         }
     }

@@ -1,14 +1,15 @@
 //! Property tests of the s-LLGS solver: conservation laws of the
 //! deterministic limit and the bit-exactness contract of the
-//! lane-blocked ensemble.
+//! lane-blocked ensemble and of campaigns packed across ensembles.
 
 use mramsim_dynamics::{
-    heun_step, run_ensemble, run_replica, EnsemblePlan, MacrospinParams, LANES,
+    heun_step, run_ensemble, run_replica, wer_campaign_seeded, CellDrive, EnsemblePlan,
+    MacrospinParams, LANES,
 };
 use mramsim_mtj::{presets, SwitchDirection};
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_numerics::Vec3;
-use mramsim_units::{Kelvin, Nanometer};
+use mramsim_units::{Kelvin, Nanometer, Oersted};
 use proptest::prelude::*;
 
 fn params(direction: SwitchDirection) -> MacrospinParams {
@@ -40,7 +41,7 @@ proptest! {
             let dt = 1e-12;
             // 30 ns of free relaxation.
             for _ in 0..30_000 {
-                m = heun_step(&p, m, Vec3::ZERO, 0.0, dt);
+                m = heun_step(&p.coeffs(), m, Vec3::ZERO, 0.0, dt);
                 prop_assert!((m.norm() - 1.0).abs() < 1e-12, "|m| drifted: {}", m.norm());
             }
             prop_assert!(
@@ -76,6 +77,51 @@ proptest! {
             prop_assert_eq!(got.final_m.z.to_bits(), reference.final_m.z.to_bits());
             prop_assert_eq!(got.crossing_time, reference.crossing_time);
             prop_assert_eq!(got.switched, reference.switched);
+        }
+    }
+
+    /// (c) A campaign packs its cells' replicas densely across lane
+    /// blocks, so one block holds replicas of several cells; each
+    /// cell's failure count still equals that of its replicas stepped
+    /// alone through the scalar reference on the cell's seed.
+    #[test]
+    fn packed_campaign_failures_match_scalar_replicas(
+        specs in prop::collection::vec((0u8..2, -400.0f64..250.0, 2.5f64..6.0), 1..6),
+        trajectories in 1usize..41,
+        seed in 0u64..1_000_000,
+        thermal in 0u8..2,
+        workers in 1usize..7,
+    ) {
+        let cells: Vec<CellDrive> = specs
+            .iter()
+            .map(|&(direction, hz, over)| {
+                let direction = if direction == 0 {
+                    SwitchDirection::ApToP
+                } else {
+                    SwitchDirection::PToAp
+                };
+                let params = params(direction).with_applied_hz(Oersted::new(hz));
+                CellDrive {
+                    current: over * params.critical_current(),
+                    params,
+                }
+            })
+            .collect();
+        let seeds: Vec<u64> = (0..cells.len() as u64).map(|c| seed + 7919 * c).collect();
+        let plan = EnsemblePlan::new(trajectories, seed, 2e-12)
+            .unwrap()
+            .with_thermal(thermal == 1);
+        let pulse = 1.5e-9;
+        let pool = WorkerPool::new(workers);
+        let campaign = wer_campaign_seeded(&cells, &seeds, pulse, &plan, &pool);
+        prop_assert_eq!(campaign.len(), cells.len());
+        for (c, (cell, estimate)) in cells.iter().zip(&campaign).enumerate() {
+            let solo = EnsemblePlan { seed: seeds[c], ..plan };
+            let failures = (0..trajectories as u64)
+                .filter(|&i| !run_replica(&cell.params, cell.current, pulse, &solo, i).switched)
+                .count();
+            prop_assert_eq!(estimate.trajectories, trajectories);
+            prop_assert_eq!(estimate.failures, failures, "cell {}", c);
         }
     }
 }

@@ -961,6 +961,10 @@ impl Scenario for WerMcScenario {
             });
         }
         let pulse = pulse_ns * 1e-9;
+        point
+            .plan
+            .checked_steps_for(pulse)
+            .map_err(|e| model_err("wer-mc", e))?;
         let pool = WorkerPool::new(crate::scenario_workers());
         let est = wer_monte_carlo(&point.macrospin, point.drive, pulse, &point.plan, &pool);
         // Voltage drives go through the saturating device-level API (so

@@ -312,6 +312,26 @@ fn oversized_ensembles_fail_as_parameter_errors() {
             other => panic!("{id}: expected a scenario error, got {other:?}"),
         }
     }
+    // A span past the plan's step cap would run for hours: it is
+    // refused before any block runs.
+    for (id, span) in [
+        ("wer-mc", "pulse_ns"),
+        ("array-wer", "pulse_ns"),
+        ("array-wer-shard", "pulse_ns"),
+        ("switch-traj", "span_ns"),
+    ] {
+        let params = ParamSet::new().with(span, 1e9);
+        match Engine::standard().run(id, &params) {
+            Err(EngineError::Scenario { scenario, message }) => {
+                assert_eq!(scenario, id);
+                assert!(
+                    message.contains("invalid parameter steps"),
+                    "{id}: {message}"
+                );
+            }
+            other => panic!("{id}: expected a scenario error, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -1,6 +1,9 @@
 //! Golden-figure regression suite: every figure scenario re-runs with a
 //! fixed seed and reduced grids, and its CSV output is compared against
-//! a committed golden within per-column tolerances.
+//! a committed golden within per-column tolerances. The four
+//! Monte-Carlo scenarios are pinned the same way under `tests/golden/mc/`,
+//! but byte for byte: a failure count that moves by one is a different
+//! random draw, not rounding jitter.
 //!
 //! Regenerate after an intentional model change with
 //!
@@ -93,6 +96,55 @@ fn cases() -> Vec<GoldenCase> {
                 .with("temps_c", vec![25.0, 85.0, 145.0]),
             column_tolerances: &[],
         },
+    ]
+}
+
+/// The Monte-Carlo scenarios, each at a small fixed point that is cheap
+/// in a debug build and exercises one part of the ensemble machinery.
+fn monte_carlo_cases() -> Vec<(&'static str, ParamSet)> {
+    vec![
+        // A ragged last lane block.
+        (
+            "wer-mc",
+            ParamSet::new()
+                .with("trajectories", 100.0)
+                .with("seed", 7.0),
+        ),
+        // Crossing times into the histogram.
+        (
+            "switch-traj",
+            ParamSet::new()
+                .with("trajectories", 40.0)
+                .with("seed", 3.0)
+                .with("span_ns", 5.0),
+        ),
+        // Window classes of both write directions whose replicas share
+        // lane blocks.
+        (
+            "array-wer",
+            ParamSet::new()
+                .with("rows", 5.0)
+                .with("cols", 7.0)
+                .with("trajectories", 37.0)
+                .with("pulse_ns", 3.0)
+                .with("voltage_v", 0.95)
+                .with("pitch", 60.0)
+                .with("seed", 11.0),
+        ),
+        // An interior shard at a radius-2 kernel.
+        (
+            "array-wer-shard",
+            ParamSet::new()
+                .with("rows", 48.0)
+                .with("cols", 32.0)
+                .with("shard_rows", 16.0)
+                .with("shard", 1.0)
+                .with("trajectories", 12.0)
+                .with("pulse_ns", 4.0)
+                .with("max_radius", 2.0)
+                .with("field_tol", 60.0)
+                .with("seed", 5.0),
+        ),
     ]
 }
 
@@ -211,6 +263,47 @@ fn figure_scenarios_match_their_goldens() {
         failures.is_empty(),
         "golden mismatches (regenerate intentional changes with \
          GOLDEN_REGENERATE=1):\n{}",
+        failures.join("\n")
+    );
+}
+
+#[test]
+fn monte_carlo_scenarios_match_their_goldens_byte_for_byte() {
+    let regenerate = std::env::var_os("GOLDEN_REGENERATE").is_some();
+    let dir = golden_dir().join("mc");
+    let engine = Engine::standard();
+    let mut failures = Vec::new();
+    for (id, overrides) in monte_carlo_cases() {
+        let outcome = engine
+            .run(id, &overrides)
+            .unwrap_or_else(|e| panic!("{id} failed to run: {e}"));
+        let actual = outcome.output.to_csv();
+        let path = dir.join(format!("{id}.csv"));
+        if regenerate {
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(&path, &actual).unwrap();
+            continue;
+        }
+        let golden = fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
+        if golden != actual {
+            let line = golden
+                .lines()
+                .zip(actual.lines())
+                .position(|(g, a)| g != a)
+                .map_or_else(|| "line count".to_owned(), |n| format!("line {}", n + 1));
+            let diff_path = diff_dir().join(format!("mc-{id}.csv"));
+            fs::create_dir_all(diff_dir()).unwrap();
+            fs::write(&diff_path, &actual).unwrap();
+            failures.push(format!(
+                "{id}: first difference at {line}\n  actual output written to {}",
+                diff_path.display()
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "Monte-Carlo golden mismatches:\n{}",
         failures.join("\n")
     );
 }

@@ -362,7 +362,9 @@ impl ShardWerReport {
 ///
 /// * [`FaultsError::InvalidParameter`] for invalid write conditions,
 ///   accuracy knobs, or a shard index / plan inconsistent with `grid`.
-/// * Propagated device / array / dynamics failures.
+/// * Propagated device / array / dynamics failures, among them a pulse
+///   longer than [`EnsemblePlan::MAX_STEPS`] steps, refused before any
+///   kernel or ensemble runs.
 ///
 /// # Examples
 ///
@@ -406,6 +408,7 @@ pub fn shard_wer_campaign(
     validate_config(config)?;
     let ensemble = EnsemblePlan::new(config.trajectories, config.seed, config.dt)?
         .with_thermal(config.thermal);
+    ensemble.checked_steps_for(config.pulse.to_second().value())?;
     if plan.rows() != grid.rows() {
         return Err(FaultsError::InvalidParameter {
             name: "shard_rows",
