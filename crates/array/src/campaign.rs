@@ -160,9 +160,15 @@ mod tests {
 
     #[test]
     fn patterns_build_the_expected_arrays() {
-        assert_eq!(DataPattern::Zeros.build(3, 3).unwrap().count_ap(), 0);
-        assert_eq!(DataPattern::Ones.build(3, 3).unwrap().count_ap(), 9);
-        assert_eq!(DataPattern::Checkerboard.build(4, 4).unwrap().count_ap(), 8);
+        let ap_cells = |pattern: DataPattern, n: usize| {
+            let a = pattern.build(n, n).unwrap();
+            a.addresses()
+                .filter(|&(r, c)| a.get(r, c).unwrap() == MtjState::AntiParallel)
+                .count()
+        };
+        assert_eq!(ap_cells(DataPattern::Zeros, 3), 0);
+        assert_eq!(ap_cells(DataPattern::Ones, 3), 9);
+        assert_eq!(ap_cells(DataPattern::Checkerboard, 4), 8);
         assert!(DataPattern::Checkerboard.build(0, 4).is_err());
     }
 

@@ -165,33 +165,31 @@ impl CellArray {
     pub fn addresses(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.rows).flat_map(move |r| (0..self.cols).map(move |c| (r, c)))
     }
-
-    /// Counts cells in the AP state.
-    #[must_use]
-    pub fn count_ap(&self) -> usize {
-        self.bits
-            .iter()
-            .filter(|s| **s == MtjState::AntiParallel)
-            .count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ap_cells(a: &CellArray) -> usize {
+        a.bits
+            .iter()
+            .filter(|s| **s == MtjState::AntiParallel)
+            .count()
+    }
+
     #[test]
     fn filled_and_counts() {
         let a = CellArray::filled(4, 5, MtjState::AntiParallel).unwrap();
         assert_eq!(a.len(), 20);
-        assert_eq!(a.count_ap(), 20);
+        assert_eq!(ap_cells(&a), 20);
         assert!(!a.is_empty());
     }
 
     #[test]
     fn checkerboard_alternates() {
         let a = CellArray::checkerboard(4, 4).unwrap();
-        assert_eq!(a.count_ap(), 8);
+        assert_eq!(ap_cells(&a), 8);
         assert_eq!(a.get(0, 0).unwrap(), MtjState::Parallel);
         assert_eq!(a.get(0, 1).unwrap(), MtjState::AntiParallel);
         assert_eq!(a.get(1, 0).unwrap(), MtjState::AntiParallel);
@@ -200,7 +198,7 @@ mod tests {
     #[test]
     fn from_fn_addresses_cells_row_major() {
         let a = CellArray::from_fn(2, 3, |r, c| MtjState::from_bit(r == 1 && c == 2)).unwrap();
-        assert_eq!(a.count_ap(), 1);
+        assert_eq!(ap_cells(&a), 1);
         assert_eq!(a.get(1, 2).unwrap(), MtjState::AntiParallel);
     }
 

@@ -6,51 +6,12 @@
 
 use mramsim_units::Nanometer;
 
-/// Storage density of a square 1-bit-per-cell array.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrayDensity {
-    pitch: Nanometer,
-}
-
-impl ArrayDensity {
-    /// Creates the metric for a given pitch.
-    ///
-    /// # Panics
-    ///
-    /// Panics for a non-positive pitch.
-    #[must_use]
-    pub fn new(pitch: Nanometer) -> Self {
-        assert!(pitch.value() > 0.0, "pitch must be positive");
-        Self { pitch }
-    }
-
-    /// The pitch.
-    #[must_use]
-    pub fn pitch(&self) -> Nanometer {
-        self.pitch
-    }
-
-    /// Bits per square micrometre.
-    #[must_use]
-    pub fn bits_per_um2(&self) -> f64 {
-        1e6 / (self.pitch.value() * self.pitch.value())
-    }
-
-    /// Gigabits per square millimetre.
-    #[must_use]
-    pub fn gbit_per_mm2(&self) -> f64 {
-        self.bits_per_um2() * 1e6 / 1e9
-    }
-
-    /// Density gain relative to another pitch
-    /// (`> 1` when `self` is denser).
-    #[must_use]
-    pub fn gain_over(&self, other: &Self) -> f64 {
-        self.bits_per_um2() / other.bits_per_um2()
-    }
-}
-
-/// Convenience: bits per µm² at the given pitch.
+/// Storage density of a square 1-bit-per-cell array: bits per µm² at
+/// the given pitch.
+///
+/// # Panics
+///
+/// Panics for a non-positive pitch.
 ///
 /// # Examples
 ///
@@ -64,40 +25,40 @@ impl ArrayDensity {
 /// ```
 #[must_use]
 pub fn array_density_bits_per_um2(pitch: Nanometer) -> f64 {
-    ArrayDensity::new(pitch).bits_per_um2()
+    assert!(pitch.value() > 0.0, "pitch must be positive");
+    1e6 / (pitch.value() * pitch.value())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn density(pitch_nm: f64) -> f64 {
+        array_density_bits_per_um2(Nanometer::new(pitch_nm))
+    }
+
     #[test]
     fn density_scales_inverse_square_with_pitch() {
-        let a = ArrayDensity::new(Nanometer::new(90.0));
-        let b = ArrayDensity::new(Nanometer::new(180.0));
-        assert!((a.gain_over(&b) - 4.0).abs() < 1e-12);
+        assert!((density(90.0) / density(180.0) - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn paper_design_rule_density_gain() {
         // Moving from a conservative 200 nm pitch to 2×eCD = 70 nm for a
         // 35 nm device buys ≈ 8.2× density.
-        let conservative = ArrayDensity::new(Nanometer::new(200.0));
-        let dense = ArrayDensity::new(Nanometer::new(70.0));
-        let gain = dense.gain_over(&conservative);
+        let gain = density(70.0) / density(200.0);
         assert!(gain > 8.0 && gain < 8.4, "gain = {gain}");
     }
 
     #[test]
     fn unit_conversions_are_consistent() {
-        let d = ArrayDensity::new(Nanometer::new(100.0));
-        assert!((d.bits_per_um2() - 100.0).abs() < 1e-9);
-        assert!((d.gbit_per_mm2() - 0.1).abs() < 1e-12);
+        // A 100 nm cell is 0.01 µm²: 100 bits per µm².
+        assert!((density(100.0) - 100.0).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic(expected = "pitch must be positive")]
     fn zero_pitch_panics() {
-        let _ = ArrayDensity::new(Nanometer::new(0.0));
+        let _ = density(0.0);
     }
 }

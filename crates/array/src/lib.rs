@@ -56,7 +56,7 @@ mod sweep;
 pub use campaign::{cell_field_map, CellField, DataPattern};
 pub use cell_array::CellArray;
 pub use coupling::{CouplingAnalyzer, InterFieldBreakdown};
-pub use density::{array_density_bits_per_um2, ArrayDensity};
+pub use density::array_density_bits_per_um2;
 pub use error::ArrayError;
 pub use geometry::{diagonal_neighbor_offsets, direct_neighbor_offsets, ring_offsets};
 pub use grid::{Defect, GridClass, PatternGrid};
@@ -64,4 +64,4 @@ pub use hierarchy::HierarchicalKernel;
 pub use kernel::{clear_kernel_cache, kernel_cache_stats, StrayFieldKernel};
 pub use pattern::{NeighborhoodPattern, PatternClass};
 pub use rings::ExtendedCoupling;
-pub use sweep::{max_density_pitch, psi_vs_pitch, psi_vs_pitch_on, PsiPoint};
+pub use sweep::{max_density_pitch, psi_vs_pitch, PsiPoint};

@@ -15,11 +15,10 @@ pub struct PsiPoint {
     pub psi: f64,
 }
 
-/// Sweeps Ψ over the given pitches (Fig. 4b) in parallel on a
-/// [`WorkerPool`] sized to the machine — the same pool type the
-/// execution engine schedules on. To share a caller-owned pool (and
-/// avoid oversubscription inside an outer sweep), use
-/// [`psi_vs_pitch_on`].
+/// Sweeps Ψ over the given pitches (Fig. 4b) in parallel on a default
+/// [`WorkerPool`] — the same pool type the execution engine schedules
+/// on. Inside a pool job (an engine sweep point) that pool takes the
+/// job's share of the machine; the Ψ values do not depend on it.
 ///
 /// An empty `pitches` slice yields an empty sweep.
 ///
@@ -47,32 +46,18 @@ pub fn psi_vs_pitch(
     pitches: &[Nanometer],
     hc: Oersted,
 ) -> Result<Vec<PsiPoint>, ArrayError> {
-    psi_vs_pitch_on(&WorkerPool::with_default_parallelism(), device, pitches, hc)
-}
-
-/// [`psi_vs_pitch`] on a caller-provided [`WorkerPool`].
-///
-/// # Errors
-///
-/// Propagates analyzer construction failures (e.g. a pitch smaller than
-/// the device).
-pub fn psi_vs_pitch_on(
-    pool: &WorkerPool,
-    device: &MtjDevice,
-    pitches: &[Nanometer],
-    hc: Oersted,
-) -> Result<Vec<PsiPoint>, ArrayError> {
     if pitches.is_empty() {
         return Ok(Vec::new());
     }
-    pool.scoped_map(pitches, |_, pitch| {
-        CouplingAnalyzer::new(device.clone(), *pitch).map(|c| PsiPoint {
-            pitch: *pitch,
-            psi: c.psi(hc),
+    WorkerPool::default()
+        .scoped_map(pitches, |_, pitch| {
+            CouplingAnalyzer::new(device.clone(), *pitch).map(|c| PsiPoint {
+                pitch: *pitch,
+                psi: c.psi(hc),
+            })
         })
-    })
-    .into_iter()
-    .collect()
+        .into_iter()
+        .collect()
 }
 
 /// Finds the smallest pitch (= highest density) whose coupling factor
@@ -193,6 +178,24 @@ mod tests {
                 .unwrap()
                 .psi(presets::MEASURED_HC);
             assert!((point.psi - sequential).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn psi_is_the_same_bits_at_every_pool_width() {
+        // Inside a pool job the default pool shrinks to the job's share;
+        // the sweep must not move.
+        let dev = device(35.0);
+        let pitches: Vec<Nanometer> = [52.5, 70.0, 105.0, 200.0]
+            .into_iter()
+            .map(Nanometer::new)
+            .collect();
+        let sweep = || psi_vs_pitch(&dev, &pitches, presets::MEASURED_HC).unwrap();
+        let top = sweep();
+        for k in [1, 2, 4] {
+            for nested in WorkerPool::new(k).scoped_map(&vec![(); k], |_, ()| sweep()) {
+                assert!(nested == top, "Ψ moved at k = {k}");
+            }
         }
     }
 

@@ -71,6 +71,14 @@ impl EnsemblePlan {
     /// instead ([`Self::checked_steps_for`]).
     pub const MAX_STEPS: usize = 1 << 20;
 
+    /// The most lane-steps (replicas × Heun steps) one ensemble may
+    /// take (2^32), about 100× the largest documented request
+    /// (`wer-mc --trajectories 32768` at 1.3 ns / 1 ps, 4.3e7). The two
+    /// caps above alone admit 2^40 lane-steps, hours of one core; past
+    /// this one a plan fails as a parameter error instead
+    /// ([`Self::checked_steps_for`]).
+    pub const MAX_LANE_STEPS: u64 = 1 << 32;
+
     /// A plan with thermal noise enabled.
     ///
     /// # Errors
@@ -123,13 +131,15 @@ impl EnsemblePlan {
         (snapped as usize).max(1)
     }
 
-    /// [`Self::steps_for`], refused past [`Self::MAX_STEPS`]. Callers
-    /// check a span with it before any block runs.
+    /// [`Self::steps_for`], refused past [`Self::MAX_STEPS`] and, with
+    /// the plan's replicas, past [`Self::MAX_LANE_STEPS`]. Callers check
+    /// a span with it before any block runs.
     ///
     /// # Errors
     ///
     /// [`DynamicsError::InvalidParameter`] (`steps`) when the span
-    /// needs more than [`Self::MAX_STEPS`] steps.
+    /// needs more than [`Self::MAX_STEPS`] steps, or (`lane_steps`)
+    /// when replicas × steps exceeds [`Self::MAX_LANE_STEPS`].
     pub fn checked_steps_for(&self, duration: f64) -> Result<usize, DynamicsError> {
         let steps = self.steps_for(duration);
         if steps > Self::MAX_STEPS {
@@ -140,6 +150,18 @@ impl EnsemblePlan {
                      replica, more than {}",
                     self.dt,
                     Self::MAX_STEPS
+                ),
+            });
+        }
+        let lane_steps = (self.trajectories as u64).saturating_mul(steps as u64);
+        if lane_steps > Self::MAX_LANE_STEPS {
+            return Err(DynamicsError::InvalidParameter {
+                name: "lane_steps",
+                message: format!(
+                    "{} replicas x {steps} Heun steps is {lane_steps} lane-steps per ensemble, \
+                     more than {}",
+                    self.trajectories,
+                    Self::MAX_LANE_STEPS
                 ),
             });
         }
@@ -523,6 +545,33 @@ mod tests {
                 Err(DynamicsError::InvalidParameter { name: "steps", .. })
             ));
         }
+    }
+
+    #[test]
+    fn plan_caps_replicas_times_steps() {
+        assert_eq!(EnsemblePlan::MAX_LANE_STEPS, 1 << 32);
+        // 2^12 replicas x 2^20 steps is exactly the cap; one replica
+        // more is over it.
+        let span = EnsemblePlan::MAX_STEPS as f64 * 1e-12;
+        let at_cap = EnsemblePlan::new(1 << 12, 1, 1e-12).unwrap();
+        assert_eq!(at_cap.checked_steps_for(span), Ok(EnsemblePlan::MAX_STEPS));
+        let over = EnsemblePlan::new((1 << 12) + 1, 1, 1e-12).unwrap();
+        match over.checked_steps_for(span) {
+            Err(DynamicsError::InvalidParameter {
+                name: "lane_steps",
+                message,
+            }) => {
+                assert!(
+                    message.contains("4097 replicas") && message.contains("1048576 Heun steps"),
+                    "{message}"
+                );
+            }
+            other => panic!("expected a lane-step error, got {other:?}"),
+        }
+        // The largest replica count still runs short spans.
+        let wide = EnsemblePlan::new(EnsemblePlan::MAX_TRAJECTORIES, 1, 1e-12).unwrap();
+        assert_eq!(wide.checked_steps_for(4096e-12), Ok(4096));
+        assert!(wide.checked_steps_for(4097e-12).is_err());
     }
 
     #[test]

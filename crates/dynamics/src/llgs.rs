@@ -169,15 +169,8 @@ impl MacrospinParams {
     /// `Hk`, so the threshold shift is exactly Eq. 2's `(1 ± Hz/Hk)` and
     /// the barrier shift exactly Eq. 5's `(1 ± Hz/Hk)²`.
     #[must_use]
-    pub fn with_applied_hz(self, hz: Oersted) -> Self {
-        self.with_applied_field(Vec3::new(0.0, 0.0, hz.to_ampere_per_meter().value()))
-    }
-
-    /// Adds an applied field vector in physical A/m (scaled into reduced
-    /// units internally, see [`MacrospinParams::with_applied_hz`]).
-    #[must_use]
-    pub fn with_applied_field(mut self, h_apm: Vec3) -> Self {
-        self.h_app += h_apm * self.field_scale;
+    pub fn with_applied_hz(mut self, hz: Oersted) -> Self {
+        self.h_app += Vec3::new(0.0, 0.0, hz.to_ampere_per_meter().value()) * self.field_scale;
         self
     }
 

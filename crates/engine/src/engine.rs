@@ -25,24 +25,6 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// The base seed folded into derived per-job seeds.
 const BASE_SEED: u64 = 2020;
 
-thread_local! {
-    /// Inner-parallelism budget the sweep executor hands to scenarios
-    /// running on its worker threads (`None` outside a sweep).
-    static SCENARIO_WORKERS: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
-}
-
-/// The worker-pool width a scenario should use for its *own* internal
-/// parallelism (e.g. the Monte-Carlo trajectory ensembles): the
-/// machine's full parallelism when the scenario runs directly, and the
-/// per-job share when it runs inside a parallel [`Engine::sweep`] —
-/// whose workers already occupy the cores.
-#[must_use]
-pub fn scenario_workers() -> usize {
-    SCENARIO_WORKERS
-        .get()
-        .unwrap_or_else(|| WorkerPool::with_default_parallelism().workers())
-}
-
 /// Where a job ended in the engine's lookup order: memory → disk →
 /// compute, or not at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -627,16 +609,13 @@ impl Engine {
                 &[("scenario", Value::Text(id.to_owned()))],
             ));
         }
-        // Scenarios with internal parallelism (the Monte-Carlo dynamics)
-        // get the cores the sweep itself leaves idle, so a wide sweep
-        // does not multiply thread counts (7 jobs × 8 inner workers).
-        let inner_workers =
-            (WorkerPool::with_default_parallelism().workers() / self.pool.workers().max(1)).max(1);
         let computed = AtomicUsize::new(0);
         let budget = options.limit.map(|limit| (&computed, limit));
         let busy_ns = AtomicU64::new(0);
+        // Scenarios with internal parallelism (the Monte-Carlo dynamics,
+        // field maps, Ψ sweeps) open default pools, which the pool
+        // sizes to each job's share of the machine.
         let results = self.pool.scoped_map(&plan.points, |index, (_, params)| {
-            SCENARIO_WORKERS.set(Some(inner_workers));
             let key = ResultCache::key(id, &params.fingerprint());
             let job_start = Instant::now();
             // Cooperative cancellation (a draining server): jobs that

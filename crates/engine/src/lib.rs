@@ -15,7 +15,9 @@
 //!   worker pool ([`pool`], re-exported from `mramsim-numerics`): one
 //!   plan check ([`Engine::validate`]) and one walk down the tiers,
 //!   each job ending in a [`Tier`] (a panicking scenario is a `Failed`
-//!   point, not a dead sweep),
+//!   point, not a dead sweep); a scenario's own pools (s-LLGS
+//!   ensembles, field maps, Ψ sweeps) take its job's share of the
+//!   machine, the pool's nested-width rule,
 //! * a content-addressed in-memory result [`cache`], bounded with
 //!   least-recently-used eviction on the shared
 //!   [`memo`](mramsim_numerics::memo), so repeated grid points are
@@ -70,7 +72,7 @@ pub mod store;
 mod sweep;
 
 pub use engine::{
-    scenario_workers, Engine, JobEvent, RunOutcome, SweepJob, SweepOptions, SweepOutcome, Tier,
+    Engine, JobEvent, RunOutcome, SweepJob, SweepOptions, SweepOutcome, Tier,
     DEFAULT_CACHE_CAPACITY,
 };
 pub use error::EngineError;

@@ -965,7 +965,7 @@ impl Scenario for WerMcScenario {
             .plan
             .checked_steps_for(pulse)
             .map_err(|e| model_err("wer-mc", e))?;
-        let pool = WorkerPool::new(crate::scenario_workers());
+        let pool = WorkerPool::default();
         let est = wer_monte_carlo(&point.macrospin, point.drive, pulse, &point.plan, &pool);
         // Voltage drives go through the saturating device-level API (so
         // sweeps crossing the threshold keep going); overdrive mode uses
@@ -1046,7 +1046,7 @@ impl Scenario for SwitchTrajScenario {
         let point = resolve_dynamics_point("switch-traj", params)?;
         let span_ns = params.number("span_ns")?;
         let bins = params.count("bins")?;
-        let pool = WorkerPool::new(crate::scenario_workers());
+        let pool = WorkerPool::default();
         let dist = switching_time_distribution(
             &point.macrospin,
             point.drive,
@@ -1234,7 +1234,7 @@ impl Scenario for ArrayWerScenario {
             max_radius: 1,
             ..campaign_config(params)?
         };
-        let pool = WorkerPool::new(crate::scenario_workers());
+        let pool = WorkerPool::default();
         let ensembles = Ensembles {
             pool: &pool,
             memo: &self.memo,
@@ -1373,7 +1373,7 @@ impl Scenario for ArrayWerShardScenario {
             field_tol: Oersted::new(params.number("field_tol")?),
             ..campaign_config(params)?
         };
-        let pool = WorkerPool::new(crate::scenario_workers());
+        let pool = WorkerPool::default();
         let ensembles = Ensembles {
             pool: &pool,
             memo: &self.memo,

@@ -11,9 +11,55 @@ use mramsim_engine::{ScenarioOutput, SweepPlan, Tier};
 use mramsim_mtj::wer::write_error_rate_saturating;
 use mramsim_mtj::{presets, MtjState, SwitchDirection};
 use mramsim_numerics::hash::fnv1a;
+use mramsim_numerics::pool::WorkerPool;
 use mramsim_units::{Kelvin, Nanometer, Nanosecond, Volt};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Reports the width of a default pool opened inside its job.
+struct Width;
+
+impl Scenario for Width {
+    fn id(&self) -> &'static str {
+        "width"
+    }
+    fn summary(&self) -> &'static str {
+        "the default pool width a job sees"
+    }
+    fn params(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::new("x", "input", 0.0)]
+    }
+    fn run(&self, _: &ParamSet) -> Result<ScenarioOutput, EngineError> {
+        let width = WorkerPool::default().workers() as f64;
+        Ok(ScenarioOutput::default().with_scalar("width", width))
+    }
+}
+
+#[test]
+fn scenario_pools_take_their_jobs_share_and_leave_the_callers_width() {
+    let machine = std::thread::available_parallelism().map_or(4, |n| n.get());
+    assert_eq!(WorkerPool::default().workers(), machine);
+    let mut registry = Registry::new();
+    registry.register(Arc::new(Width));
+    let engine = Engine::new(registry).with_workers(2);
+    let widths = |xs: Vec<f64>| -> Vec<f64> {
+        let outcome = engine
+            .sweep(&SweepPlan::new("width").axis("x", xs))
+            .unwrap();
+        let widths = outcome.jobs.iter().map(|job| {
+            let output = job.result.as_ref().unwrap();
+            output.scalar("width").unwrap()
+        });
+        widths.collect()
+    };
+    // One point runs inline on this thread with the whole machine, and
+    // leaves this thread's width as it found it.
+    assert_eq!(widths(vec![1.0]), [machine as f64]);
+    assert_eq!(WorkerPool::default().workers(), machine);
+    // Two points on two engine workers: each job holds half.
+    assert_eq!(widths(vec![2.0, 3.0]), [(machine / 2).max(1) as f64; 2]);
+    assert_eq!(WorkerPool::default().workers(), machine);
+}
 
 #[test]
 fn every_registered_scenario_runs_end_to_end_and_caches() {
@@ -326,6 +372,31 @@ fn oversized_ensembles_fail_as_parameter_errors() {
                 assert_eq!(scenario, id);
                 assert!(
                     message.contains("invalid parameter steps"),
+                    "{id}: {message}"
+                );
+            }
+            other => panic!("{id}: expected a scenario error, got {other:?}"),
+        }
+    }
+    // The largest replica count over the longest span passes both caps
+    // above (2^20 x 2^20 steps at each scenario's default dt) and would
+    // run for hours: replicas x steps is refused too.
+    let replicas = EnsemblePlan::MAX_TRAJECTORIES as f64;
+    for (id, span, ns) in [
+        ("wer-mc", "pulse_ns", 1048.576),
+        ("switch-traj", "span_ns", 2097.152),
+        ("array-wer", "pulse_ns", 2097.152),
+        ("array-wer-shard", "pulse_ns", 2097.152),
+    ] {
+        let params = ParamSet::new()
+            .with("trajectories", replicas)
+            .with(span, ns);
+        match Engine::standard().run(id, &params) {
+            Err(EngineError::Scenario { scenario, message }) => {
+                assert_eq!(scenario, id);
+                assert!(
+                    message.contains("invalid parameter lane_steps")
+                        && message.contains("1048576 replicas x 1048576 Heun steps"),
                     "{id}: {message}"
                 );
             }

@@ -143,6 +143,13 @@ mod tests {
     }
 
     #[test]
+    fn aggressive_corner_fails_worst_case_writes() {
+        // 1.5×eCD at a low voltage with a tight pulse: the Fig. 5c
+        // failure the paper warns about.
+        assert!(!classify(52.5, 0.74, 16.0).is_clean());
+    }
+
+    #[test]
     fn marginal_pulse_fails_only_hostile_patterns() {
         // Choose a pulse between the best- and worst-case tw at the
         // aggressive pitch: some classes fail, some survive.

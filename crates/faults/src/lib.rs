@@ -23,13 +23,13 @@
 //! # Examples
 //!
 //! ```
-//! use mramsim_faults::{ArraySimulator, WriteConditions};
-//! use mramsim_mtj::presets;
+//! use mramsim_faults::{ArraySimulator, OpResult, WriteConditions};
+//! use mramsim_mtj::{presets, MtjState};
 //! use mramsim_units::{Nanometer, Nanosecond, Volt};
 //!
 //! // A design-rule-compliant array writes reliably:
 //! let device = presets::imec_like(Nanometer::new(35.0))?;
-//! let sim = ArraySimulator::new(
+//! let mut sim = ArraySimulator::new(
 //!     device,
 //!     Nanometer::new(70.0), // 2 x eCD
 //!     8,
@@ -40,7 +40,8 @@
 //!         ..WriteConditions::default()
 //!     },
 //! )?;
-//! assert!(sim.write_would_succeed_everywhere());
+//! assert_eq!(sim.write(3, 4, MtjState::AntiParallel)?, OpResult::Ok);
+//! assert_eq!(sim.read(3, 4)?, MtjState::AntiParallel);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

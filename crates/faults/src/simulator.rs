@@ -202,18 +202,6 @@ impl ArraySimulator {
     pub fn read(&self, row: usize, col: usize) -> Result<MtjState, FaultsError> {
         Ok(self.array.get(row, col)?)
     }
-
-    /// Whether *every* cell could complete *both* write transitions
-    /// under *any* neighbourhood pattern — the design-point sanity check
-    /// (equivalent to checking the worst-case patterns only, by the
-    /// monotonicity of the coupling field).
-    #[must_use]
-    pub fn write_would_succeed_everywhere(&self) -> bool {
-        // Worst case for AP→P is NP8 = 0 (most negative field raises
-        // Ic(AP→P)); for P→AP it is NP8 = 255.
-        self.transition_fits(SwitchDirection::ApToP, NeighborhoodPattern::ALL_P)
-            && self.transition_fits(SwitchDirection::PToAp, NeighborhoodPattern::ALL_AP)
-    }
 }
 
 fn current_to(target: MtjState, current: MtjState) -> SwitchDirection {
@@ -243,21 +231,6 @@ mod tests {
             },
         )
         .unwrap()
-    }
-
-    #[test]
-    fn healthy_design_point_writes_everywhere() {
-        // 2×eCD, 1.0 V, generous pulse: the paper's recommended corner.
-        let s = sim(70.0, 1.0, 25.0);
-        assert!(s.write_would_succeed_everywhere());
-    }
-
-    #[test]
-    fn aggressive_corner_fails_worst_case_writes() {
-        // 1.5×eCD at a low voltage with a tight pulse: the Fig. 5c
-        // failure the paper warns about.
-        let s = sim(52.5, 0.74, 16.0);
-        assert!(!s.write_would_succeed_everywhere());
     }
 
     #[test]

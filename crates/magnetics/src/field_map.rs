@@ -1,12 +1,14 @@
-//! Spatial sampling of field sources: line scans and plane maps.
+//! Spatial sampling of field sources: point lists and plane maps.
 //!
 //! These drive the paper's Fig. 3c (3-D field visualisation around the
 //! device) and Fig. 3d (radial profile of `Hz` across the free layer).
 //!
 //! Sampling goes through the batched [`FieldSource::h_field_many`] API
-//! and, for large grids, is parallelised in row chunks on the shared
+//! and, for large grids, is parallelised in row chunks on a default
 //! [`WorkerPool`] — the same scheduler the array sweeps and the
-//! execution engine run on.
+//! execution engine run on. Inside a pool job (an engine sweep point)
+//! that pool takes the job's share of the machine, and the samples
+//! are the same bits at every width.
 
 use crate::{FieldSource, MagneticsError};
 use mramsim_numerics::pool::WorkerPool;
@@ -21,42 +23,24 @@ const PARALLEL_THRESHOLD: usize = 1024;
 const CHUNK_POINTS: usize = 256;
 
 /// Evaluates `source` at every position, batched, and in parallel row
-/// chunks on a machine-sized worker pool once the grid is large enough.
+/// chunks on a default worker pool once the grid is large enough.
 ///
-/// This is the common engine behind [`line_scan`] and
-/// [`PlaneMap::sample`], exposed for callers that bring their own point
-/// layout (e.g. the Fig. 3d radial profiles). When already running on
-/// a pool worker (e.g. inside an engine sweep job), pass the caller's
-/// pool via [`h_field_at_points_on`] to avoid thread oversubscription —
-/// a `WorkerPool::new(1)` degrades gracefully to the serial batched
-/// path.
+/// This is the common engine behind [`PlaneMap::sample`], exposed for
+/// callers that bring their own point layout (e.g. the Fig. 3d radial
+/// profiles). A pool of one worker takes the serial batched path.
 pub fn h_field_at_points<S: FieldSource + Sync + ?Sized>(
     source: &S,
     positions: &[Vec3],
 ) -> Vec<Vec3> {
-    h_field_in_chunks(
-        &WorkerPool::with_default_parallelism(),
-        source,
-        positions,
-        CHUNK_POINTS,
-    )
-}
-
-/// [`h_field_at_points`] on a caller-provided [`WorkerPool`].
-pub fn h_field_at_points_on<S: FieldSource + Sync + ?Sized>(
-    pool: &WorkerPool,
-    source: &S,
-    positions: &[Vec3],
-) -> Vec<Vec3> {
-    h_field_in_chunks(pool, source, positions, CHUNK_POINTS)
+    h_field_in_chunks(source, positions, CHUNK_POINTS)
 }
 
 fn h_field_in_chunks<S: FieldSource + Sync + ?Sized>(
-    pool: &WorkerPool,
     source: &S,
     positions: &[Vec3],
     chunk: usize,
 ) -> Vec<Vec3> {
+    let pool = WorkerPool::default();
     let mut out = vec![Vec3::ZERO; positions.len()];
     if positions.len() < PARALLEL_THRESHOLD || pool.workers() < 2 {
         source.h_field_many(positions, &mut out);
@@ -74,102 +58,6 @@ fn h_field_in_chunks<S: FieldSource + Sync + ?Sized>(
         cursor += block.len();
     }
     out
-}
-
-/// One sample of a line scan: position along the line and the field.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LineSample {
-    /// Signed distance along the scan from its midpoint (metres).
-    pub s: f64,
-    /// Sample position in space (metres).
-    pub position: Vec3,
-    /// Field at the sample (A/m).
-    pub h: Vec3,
-}
-
-/// Samples the field along the segment `[start, end]` at `n` evenly
-/// spaced points (inclusive of both ends).
-///
-/// # Errors
-///
-/// * [`MagneticsError::InvalidDiscretisation`] for `n < 2`.
-/// * [`MagneticsError::InvalidGeometry`] for non-finite endpoints or a
-///   zero-length segment.
-///
-/// # Examples
-///
-/// ```
-/// use mramsim_magnetics::{field_map::line_scan, LoopSource};
-/// use mramsim_numerics::Vec3;
-///
-/// let fl = LoopSource::with_default_segments(Vec3::ZERO, 27.5e-9, 2.3e-3)?;
-/// let scan = line_scan(&fl, Vec3::new(-4e-8, 0.0, 3e-9), Vec3::new(4e-8, 0.0, 3e-9), 81)?;
-/// assert_eq!(scan.len(), 81);
-/// // Symmetric scan: Hz profile is even in s.
-/// assert!((scan[0].h.z - scan[80].h.z).abs() < 1e-6 * scan[0].h.z.abs());
-/// # Ok::<(), mramsim_magnetics::MagneticsError>(())
-/// ```
-pub fn line_scan<S: FieldSource + Sync + ?Sized>(
-    source: &S,
-    start: Vec3,
-    end: Vec3,
-    n: usize,
-) -> Result<Vec<LineSample>, MagneticsError> {
-    line_scan_on(
-        &WorkerPool::with_default_parallelism(),
-        source,
-        start,
-        end,
-        n,
-    )
-}
-
-/// [`line_scan`] on a caller-provided [`WorkerPool`] (use from inside
-/// an outer sweep to avoid oversubscription).
-///
-/// # Errors
-///
-/// Same contract as [`line_scan`].
-pub fn line_scan_on<S: FieldSource + Sync + ?Sized>(
-    pool: &WorkerPool,
-    source: &S,
-    start: Vec3,
-    end: Vec3,
-    n: usize,
-) -> Result<Vec<LineSample>, MagneticsError> {
-    if n < 2 {
-        return Err(MagneticsError::InvalidDiscretisation {
-            message: format!("a line scan needs at least two samples, got {n}"),
-        });
-    }
-    if !start.is_finite() || !end.is_finite() {
-        return Err(MagneticsError::InvalidGeometry {
-            message: format!("line scan endpoints must be finite, got {start} .. {end}"),
-        });
-    }
-    let length = (end - start).norm();
-    if !(length > 0.0) {
-        return Err(MagneticsError::InvalidGeometry {
-            message: format!("line scan segment is degenerate: {start} .. {end}"),
-        });
-    }
-    let mid = start.lerp(end, 0.5);
-    let half = length / 2.0;
-    let positions: Vec<Vec3> = (0..n)
-        .map(|i| start.lerp(end, i as f64 / (n - 1) as f64))
-        .collect();
-    let fields = h_field_at_points_on(pool, source, &positions);
-    Ok(positions
-        .into_iter()
-        .zip(fields)
-        .enumerate()
-        .map(|(i, (position, h))| {
-            let t = i as f64 / (n - 1) as f64;
-            // Signed distance measured from the midpoint along the line.
-            let s = (position - mid).norm() * ((2.0 * t - 1.0) * half).signum();
-            LineSample { s, position, h }
-        })
-        .collect())
 }
 
 /// A rectangular grid of field samples in a constant-z plane.
@@ -205,33 +93,6 @@ impl PlaneMap {
         nx: usize,
         ny: usize,
     ) -> Result<Self, MagneticsError> {
-        Self::sample_on(
-            &WorkerPool::with_default_parallelism(),
-            source,
-            (x0, x1),
-            (y0, y1),
-            z,
-            nx,
-            ny,
-        )
-    }
-
-    /// [`PlaneMap::sample`] on a caller-provided [`WorkerPool`] (use
-    /// from inside an outer sweep to avoid oversubscription).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PlaneMap::sample`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_on<S: FieldSource + Sync + ?Sized>(
-        pool: &WorkerPool,
-        source: &S,
-        (x0, x1): (f64, f64),
-        (y0, y1): (f64, f64),
-        z: f64,
-        nx: usize,
-        ny: usize,
-    ) -> Result<Self, MagneticsError> {
         if nx < 2 || ny < 2 {
             return Err(MagneticsError::InvalidDiscretisation {
                 message: format!("plane map needs at least a 2x2 grid, got {nx}x{ny}"),
@@ -256,7 +117,7 @@ impl PlaneMap {
         // Chunk on whole rows so each parallel job covers contiguous,
         // cache-friendly row blocks.
         let rows_per_chunk = CHUNK_POINTS.div_ceil(nx).max(1);
-        let samples = h_field_in_chunks(pool, source, &positions, rows_per_chunk * nx);
+        let samples = h_field_in_chunks(source, &positions, rows_per_chunk * nx);
         Ok(Self {
             nx,
             ny,
@@ -331,18 +192,6 @@ mod tests {
     use crate::{Dipole, LoopSource};
 
     #[test]
-    fn line_scan_endpoints_and_count() {
-        let d = Dipole::new(Vec3::ZERO, 1e-18).unwrap();
-        let scan = line_scan(&d, Vec3::new(-1e-7, 0.0, 0.0), Vec3::new(1e-7, 0.0, 0.0), 5).unwrap();
-        assert_eq!(scan.len(), 5);
-        assert_eq!(scan[0].position, Vec3::new(-1e-7, 0.0, 0.0));
-        assert_eq!(scan[4].position, Vec3::new(1e-7, 0.0, 0.0));
-        assert!((scan[0].s + 1e-7).abs() < 1e-18);
-        assert!((scan[4].s - 1e-7).abs() < 1e-18);
-        assert!(scan[2].s.abs() < 1e-18);
-    }
-
-    #[test]
     fn radial_profile_of_saf_pair_is_center_heavy() {
         // The paper's Fig. 3d observation holds for the *net* RL + HL
         // field: |Hz| is largest at the FL centre and smaller at the edge
@@ -357,37 +206,15 @@ mod tests {
             LoopSource::with_default_segments(Vec3::new(0.0, 0.0, -7.85e-9), 17.5e-9, -1.43e-3)
                 .unwrap(),
         );
-        let scan = line_scan(
-            &saf,
-            Vec3::new(-1.4e-8, 0.0, 0.0),
-            Vec3::new(1.4e-8, 0.0, 0.0),
-            45,
-        )
-        .unwrap();
-        let center = scan[22].h.z;
-        let edge = scan[0].h.z;
+        let (start, end) = (Vec3::new(-1.4e-8, 0.0, 0.0), Vec3::new(1.4e-8, 0.0, 0.0));
+        let positions: Vec<Vec3> = (0..45)
+            .map(|i| start.lerp(end, f64::from(i) / 44.0))
+            .collect();
+        let scan = h_field_at_points(&saf, &positions);
+        let center = scan[22].z;
+        let edge = scan[0].z;
         assert!(center < 0.0, "net intra-cell field is negative at centre");
         assert!(center.abs() > edge.abs(), "center {center} vs edge {edge}");
-    }
-
-    #[test]
-    fn degenerate_scans_are_errors_not_panics() {
-        let d = Dipole::new(Vec3::ZERO, 1e-18).unwrap();
-        // Too few samples.
-        assert!(matches!(
-            line_scan(&d, Vec3::ZERO, Vec3::X, 1),
-            Err(MagneticsError::InvalidDiscretisation { .. })
-        ));
-        // Zero-length segment.
-        assert!(matches!(
-            line_scan(&d, Vec3::X, Vec3::X, 8),
-            Err(MagneticsError::InvalidGeometry { .. })
-        ));
-        // Non-finite endpoint.
-        assert!(matches!(
-            line_scan(&d, Vec3::new(f64::NAN, 0.0, 0.0), Vec3::X, 8),
-            Err(MagneticsError::InvalidGeometry { .. })
-        ));
     }
 
     #[test]
@@ -462,6 +289,27 @@ mod tests {
         for (p, b) in positions.iter().zip(&batched) {
             let s = l.h_field(*p);
             assert!((s - *b).norm() <= 1e-12 * s.norm().max(1e-12));
+        }
+    }
+
+    #[test]
+    fn samples_are_the_same_bits_at_every_pool_width() {
+        // Inside a pool job the default pool shrinks to the job's share
+        // (down to the serial path); the samples must not move.
+        let l = LoopSource::new(Vec3::ZERO, 2e-8, 1e-3, 32).unwrap();
+        let sample = || PlaneMap::sample(&l, (-5e-8, 5e-8), (-5e-8, 5e-8), 2e-9, 40, 40).unwrap();
+        let top = sample();
+        let positions: Vec<Vec3> = top.iter().map(|(p, _)| p).collect();
+        assert!(positions.len() > PARALLEL_THRESHOLD);
+        let points = h_field_at_points(&l, &positions);
+        for k in [1, 2, 4] {
+            let nested = WorkerPool::new(k).scoped_map(&vec![(); k], |_, ()| {
+                (sample(), h_field_at_points(&l, &positions))
+            });
+            for (map, fields) in nested {
+                assert!(map == top, "plane map moved at k = {k}");
+                assert!(fields == points, "point fields moved at k = {k}");
+            }
         }
     }
 }

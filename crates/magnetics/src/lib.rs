@@ -13,7 +13,7 @@
 //! * [`Dipole`] — point-dipole far-field approximation,
 //! * [`SlicedLoop`] — a thick layer as a stack of sub-loops,
 //! * [`SourceSet`] — superposition of any of the above,
-//! * [`field_map`] — line scans and plane maps (Fig. 3c/3d).
+//! * [`field_map`] — point lists and plane maps (Fig. 3c/3d).
 //!
 //! Conventions: positions are in **metres** ([`Vec3`]), currents in
 //! **amperes**, fields in **A/m** (`H`, not `B`); use

@@ -350,12 +350,6 @@ impl SlicedLoop {
     pub fn slices(&self) -> &[LoopSource] {
         &self.slices
     }
-
-    /// Total bound current over all slices.
-    #[must_use]
-    pub fn total_current(&self) -> f64 {
-        self.slices.iter().map(LoopSource::current).sum()
-    }
 }
 
 impl FieldSource for SlicedLoop {
@@ -496,7 +490,8 @@ mod tests {
     fn sliced_loop_conserves_current_and_converges_to_thin_loop_far_away() {
         let thin = LoopSource::with_default_segments(Vec3::ZERO, 2e-8, 3e-3).unwrap();
         let sliced = SlicedLoop::new(Vec3::ZERO, 2e-8, 3e-3, 6e-9, 6, DEFAULT_SEGMENTS).unwrap();
-        assert!((sliced.total_current() - 3e-3).abs() < 1e-12);
+        let total: f64 = sliced.slices().iter().map(LoopSource::current).sum();
+        assert!((total - 3e-3).abs() < 1e-12);
         // Far away, slicing is irrelevant.
         let p = Vec3::new(0.0, 0.0, 5e-7);
         let a = thin.h_field(p).z;

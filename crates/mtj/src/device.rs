@@ -209,40 +209,6 @@ impl MtjDevice {
         let rate = angle_factor * torque_factor * im; // 1/s
         Ok(Second::new(1.0 / rate).to_nanosecond())
     }
-
-    /// The threshold voltage below which Eq. 3 has no solution (where
-    /// `Vp/R(Vp) = Ic`), found by bisection on `[1 mV, 5 V]`.
-    ///
-    /// Returns `None` when even 5 V cannot reach the critical current.
-    #[must_use]
-    pub fn threshold_voltage(
-        &self,
-        direction: SwitchDirection,
-        hz_stray: Oersted,
-        t: Kelvin,
-    ) -> Option<Volt> {
-        let ic = self
-            .switching
-            .critical_current(direction, hz_stray, t)
-            .to_ampere()
-            .value();
-        let state = direction.initial_state();
-        let overdrive = |v: f64| {
-            self.electrical
-                .current(state, Volt::new(v), self.area())
-                .value()
-                - ic
-        };
-        if overdrive(5.0) <= 0.0 {
-            return None;
-        }
-        if overdrive(1e-3) >= 0.0 {
-            return Some(Volt::new(1e-3));
-        }
-        mramsim_numerics::roots::bisect(overdrive, 1e-3, 5.0, 1e-9, 200)
-            .ok()
-            .map(Volt::new)
-    }
 }
 
 #[cfg(test)]
@@ -317,25 +283,6 @@ mod tests {
             .switching_time(SwitchDirection::ApToP, Volt::new(0.3), Oersted::ZERO, T300)
             .unwrap_err();
         assert!(matches!(err, MtjError::SubCriticalDrive { .. }));
-    }
-
-    #[test]
-    fn threshold_voltage_brackets_the_subcritical_regime() {
-        let dev = device();
-        let vth = dev
-            .threshold_voltage(SwitchDirection::ApToP, Oersted::ZERO, T300)
-            .unwrap();
-        assert!(vth.value() > 0.3 && vth.value() < 0.72, "Vth = {vth}");
-        // Just above threshold: switching works and is slow.
-        let tw = dev
-            .switching_time(
-                SwitchDirection::ApToP,
-                Volt::new(vth.value() * 1.05),
-                Oersted::ZERO,
-                T300,
-            )
-            .unwrap();
-        assert!(tw.value() > 10.0);
     }
 
     #[test]

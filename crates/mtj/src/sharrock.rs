@@ -129,26 +129,6 @@ impl SharrockModel {
         }
         Ok(self.hk * (1.0 - ratio.sqrt()))
     }
-
-    /// Width of the thermal switching-field distribution, estimated as
-    /// the field interval over which `P` rises from 25 % to 75 % at the
-    /// given dwell.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SharrockModel::median_switching_field`] errors.
-    pub fn switching_field_iqr(&self, dwell: Second) -> Result<Oersted, MtjError> {
-        let med = self.median_switching_field(dwell)?;
-        let target = |p: f64| {
-            // Solve 1 − exp(−f0 t exp(−Δ0(1−h/Hk)²)) = p for h.
-            let lam = (ATTEMPT_FREQUENCY * dwell.value() / -(1f64 - p).ln()).ln();
-            self.hk * (1.0 - (lam / self.delta0).max(0.0).sqrt())
-        };
-        let lo = target(0.25);
-        let hi = target(0.75);
-        let _ = med;
-        Ok(hi - lo)
-    }
 }
 
 #[cfg(test)]
@@ -210,14 +190,6 @@ mod tests {
         let fast = m.median_switching_field(Second::new(1e-6)).unwrap();
         let slow = m.median_switching_field(Second::new(1e-2)).unwrap();
         assert!(slow < fast);
-    }
-
-    #[test]
-    fn iqr_is_positive_and_small_vs_hk() {
-        let m = model();
-        let iqr = m.switching_field_iqr(Second::new(1e-4)).unwrap();
-        assert!(iqr.value() > 0.0);
-        assert!(iqr.value() < 0.1 * m.hk().value());
     }
 
     #[test]

@@ -37,13 +37,6 @@ impl SwitchDirection {
             Self::PToAp => MtjState::Parallel,
         }
     }
-
-    /// The state the device ends in.
-    #[inline]
-    #[must_use]
-    pub fn final_state(self) -> MtjState {
-        self.initial_state().flipped()
-    }
 }
 
 impl core::fmt::Display for SwitchDirection {
@@ -327,7 +320,6 @@ mod tests {
             SwitchDirection::ApToP.initial_state(),
             MtjState::AntiParallel
         );
-        assert_eq!(SwitchDirection::ApToP.final_state(), MtjState::Parallel);
         assert_eq!(SwitchDirection::ApToP.eq2_sign(), -1.0);
         assert_eq!(SwitchDirection::PToAp.eq2_sign(), 1.0);
         assert_eq!(SwitchDirection::ApToP.to_string(), "AP->P");

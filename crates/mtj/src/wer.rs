@@ -15,7 +15,7 @@
 //! Sun's mean — both are implemented on the same device parameters.
 
 use crate::{MtjDevice, MtjError, SwitchDirection};
-use mramsim_units::constants::{EULER_GAMMA, E_CHARGE, MU_B};
+use mramsim_units::constants::{E_CHARGE, MU_B};
 use mramsim_units::{Kelvin, Nanosecond, Oersted, Volt};
 
 /// The write-error rate for a pulse of width `pulse` (probability that
@@ -188,20 +188,11 @@ pub fn pulse_for_error_rate(
     Ok(mramsim_units::Second::new(tau.max(0.0)).to_nanosecond())
 }
 
-/// Sanity link between the WER model and Sun's Eq. 3: the WER at the
-/// *mean* switching time is a fixed, parameter-independent value
-/// `1 − exp(−exp(−C))` ≈ 43 % (where `C` is Euler's constant) — the
-/// mean sits slightly past the median of the switching-time
-/// distribution.
-#[must_use]
-pub fn wer_at_mean_switching_time() -> f64 {
-    -(-(-EULER_GAMMA).exp()).exp_m1()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::presets;
+    use mramsim_units::constants::EULER_GAMMA;
     use mramsim_units::Nanometer;
 
     const T300: Kelvin = Kelvin::new(300.0);
@@ -253,7 +244,9 @@ mod tests {
                 tw,
             )
             .unwrap();
-            let theory = wer_at_mean_switching_time();
+            // Sun's Eq. 3 mean sits slightly past the median: the WER
+            // there is 1 − exp(−exp(−γ)) ≈ 43 % for every device.
+            let theory = -(-(-EULER_GAMMA).exp()).exp_m1();
             assert!(
                 (wer - theory).abs() < 1e-6,
                 "v={v}, h={h}: wer {wer} vs theory {theory}"

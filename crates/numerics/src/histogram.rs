@@ -112,16 +112,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
-
-    /// The bin index holding the most observations (first on ties).
-    #[must_use]
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, c)| (*c, core::cmp::Reverse(i)))
-            .map_or(0, |(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -144,13 +134,6 @@ mod tests {
         let h = Histogram::new(0.0, 10.0, 5).unwrap();
         assert_eq!(h.bin_center(0), 1.0);
         assert_eq!(h.bin_center(4), 9.0);
-    }
-
-    #[test]
-    fn mode_finds_peak() {
-        let mut h = Histogram::new(0.0, 3.0, 3).unwrap();
-        h.extend([0.5, 1.5, 1.6, 1.7, 2.5]);
-        assert_eq!(h.mode_bin(), 1);
     }
 
     #[test]

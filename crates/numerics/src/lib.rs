@@ -10,17 +10,17 @@
 //!   the Levenberg–Marquardt fitter),
 //! * [`optimize`] — Nelder–Mead simplex and Levenberg–Marquardt least
 //!   squares (the paper extracts `Hk`, `Δ0` by curve fitting, §V-A),
-//! * [`roots`] — bisection and Brent root finding (calibration, crossover
-//!   searches),
-//! * [`integrate`] — adaptive Simpson quadrature,
 //! * [`stats`] — descriptive statistics for device populations,
-//! * [`dist`] — Normal / LogNormal sampling built on `rand` (process
-//!   variation, thermal switching stochasticity) and the ziggurat
-//!   standard normal behind the s-LLGS thermal field,
+//! * [`dist`] — Normal sampling built on `rand` (process variation,
+//!   thermal switching stochasticity) and the ziggurat standard normal
+//!   behind the s-LLGS thermal field,
 //! * [`histogram`] — switching-field histograms,
 //! * [`pool`] — the work-stealing worker pool shared by the array
 //!   sweeps, the batched field maps, and the `mramsim-engine`
-//!   execution layer,
+//!   execution layer. It also sizes nested pools: a default pool
+//!   opened inside a job of an `n`-item dispatch on `W` workers is
+//!   `max(1, B / min(W, n))` wide, `B` being its dispatcher's width
+//!   (the machine's at top level),
 //! * [`hash`] — FNV-1a content-address hashing: the engine result
 //!   cache's keys, the disk tier's checksums and the class seeds,
 //! * [`memo`] — the one bounded, exact-key memo behind every
@@ -48,12 +48,10 @@ pub mod dist;
 mod error;
 pub mod hash;
 pub mod histogram;
-pub mod integrate;
 pub mod linalg;
 pub mod memo;
 pub mod optimize;
 pub mod pool;
-pub mod roots;
 pub mod special;
 pub mod stats;
 mod vec3;

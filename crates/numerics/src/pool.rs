@@ -9,6 +9,19 @@
 //! busiest other deque. Results are keyed by item index, so the output
 //! order is deterministic no matter who computed what.
 //!
+//! # Nested widths
+//!
+//! The pool also decides how wide a pool opened inside one of its jobs
+//! may be. Every thread holds a width: the machine's available
+//! parallelism at top level. A dispatch of `n` items on a `W`-worker
+//! pool runs on `w = min(W, n)` threads, and each of them holds
+//! `max(1, B / w)`, where `B` is the dispatching thread's width. An
+//! inline dispatch (`w = 1`) therefore leaves the width at `B`.
+//! [`WorkerPool::default`] and [`WorkerPool::with_default_parallelism`]
+//! take the current thread's width, so an s-LLGS ensemble or a field
+//! map run inside a sweep job uses the cores the sweep leaves idle and
+//! a wide sweep does not multiply thread counts.
+//!
 //! # Examples
 //!
 //! ```
@@ -20,9 +33,25 @@
 //! ```
 
 use mramsim_telemetry as telemetry;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+thread_local! {
+    /// This thread's width when it is a pool worker (`None` elsewhere:
+    /// the machine's width).
+    static WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The width a default pool takes on this thread.
+fn current_width() -> usize {
+    WIDTH.get().unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(4)
+    })
+}
 
 /// A fixed-width scoped worker pool.
 ///
@@ -43,14 +72,12 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine's available parallelism.
+    /// A pool as wide as the current thread's width: the machine's
+    /// available parallelism at top level, a job's share of its
+    /// dispatcher's width inside a pool job (see the module docs).
     #[must_use]
     pub fn with_default_parallelism() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4),
-        )
+        Self::new(current_width())
     }
 
     /// The number of worker threads.
@@ -60,7 +87,9 @@ impl WorkerPool {
     }
 
     /// Applies `f` to every item in parallel and returns the results in
-    /// input order. `f` receives the item index alongside the item.
+    /// input order. `f` receives the item index alongside the item, and
+    /// runs at width `max(1, B / min(workers, items))` for the caller's
+    /// width `B`.
     ///
     /// # Panics
     ///
@@ -91,7 +120,8 @@ impl WorkerPool {
         // An effectively serial dispatch runs inline on the caller:
         // no thread spawn, and spans opened by `f` stay on the caller's
         // lane under its current span context (nested pools hit this
-        // path constantly once the outer pool is saturated).
+        // path constantly once the outer pool is saturated). Its items
+        // keep the caller's width, `B / 1`, so nothing is set here.
         if workers == 1 {
             let start = record.then(Instant::now);
             let out: Vec<R> = items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
@@ -102,6 +132,8 @@ impl WorkerPool {
             }
             return out;
         }
+
+        let share = (current_width() / workers).max(1);
 
         // Capture the caller's span context so jobs opened on worker
         // threads still nest under the dispatching span (e.g. every
@@ -128,6 +160,7 @@ impl WorkerPool {
                     let queues = &queues;
                     let f = &f;
                     scope.spawn(move || {
+                        WIDTH.set(Some(share));
                         // Adopt the dispatcher's span context and name
                         // this thread's trace lane after its worker
                         // slot before any job span opens.
@@ -245,6 +278,51 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
         assert_eq!(out, items);
+    }
+
+    fn machine() -> usize {
+        std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+    }
+
+    #[test]
+    fn jobs_default_to_their_share_of_the_callers_width() {
+        let m = machine();
+        assert_eq!(WorkerPool::default().workers(), m);
+        for k in [1, 2, 3, 4] {
+            let widths = WorkerPool::new(k).scoped_map(&vec![(); 2 * k], |_, ()| {
+                WorkerPool::with_default_parallelism().workers()
+            });
+            assert_eq!(widths, vec![(m / k).max(1); 2 * k], "k = {k}");
+        }
+        assert_eq!(WorkerPool::default().workers(), m);
+    }
+
+    #[test]
+    fn a_nested_dispatch_divides_its_parents_share() {
+        let share = (machine() / 2).max(1);
+        let nested = WorkerPool::new(2).scoped_map(&[(); 4], |_, ()| {
+            let parent = WorkerPool::default().workers();
+            let inner =
+                WorkerPool::new(2).scoped_map(&[(); 2], |_, ()| WorkerPool::default().workers());
+            (parent, inner)
+        });
+        for (parent, inner) in nested {
+            assert_eq!(parent, share);
+            assert_eq!(inner, vec![(share / 2).max(1); 2]);
+        }
+    }
+
+    #[test]
+    fn inline_dispatch_leaves_the_callers_width_even_when_an_item_panics() {
+        let m = machine();
+        let seen = WorkerPool::new(1).scoped_map(&[(); 3], |_, ()| WorkerPool::default().workers());
+        assert_eq!(seen, vec![m; 3]);
+        assert_eq!(WorkerPool::default().workers(), m);
+        let caught = std::panic::catch_unwind(|| {
+            WorkerPool::new(4).scoped_map(&[()], |_, ()| -> usize { panic!("inline item fails") })
+        });
+        assert!(caught.is_err());
+        assert_eq!(WorkerPool::default().workers(), m);
     }
 
     /// Recorder installation is process-global: tests that install

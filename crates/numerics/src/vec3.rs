@@ -103,19 +103,6 @@ impl Vec3 {
         (self - other).norm()
     }
 
-    /// Returns the unit vector in this direction, or `None` for a vector
-    /// too short to normalise reliably.
-    #[inline]
-    #[must_use]
-    pub fn normalized(self) -> Option<Self> {
-        let n = self.norm();
-        if n > f64::EPSILON {
-            Some(self / n)
-        } else {
-            None
-        }
-    }
-
     /// Component-wise check that all entries are finite.
     #[inline]
     #[must_use]
@@ -244,13 +231,6 @@ mod tests {
         let c = a.cross(b);
         assert!(c.dot(a).abs() < 1e-12);
         assert!(c.dot(b).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalization() {
-        let v = Vec3::new(3.0, 0.0, 4.0).normalized().unwrap();
-        assert!((v.norm() - 1.0).abs() < 1e-15);
-        assert!(Vec3::ZERO.normalized().is_none());
     }
 
     #[test]

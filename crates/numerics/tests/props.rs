@@ -1,7 +1,7 @@
 //! Property tests for the numerics substrate.
 
 use mramsim_numerics::optimize::{levenberg_marquardt, nelder_mead, LmOptions, NelderMeadOptions};
-use mramsim_numerics::{dist, histogram::Histogram, integrate, roots, special, stats, Vec3};
+use mramsim_numerics::{dist, histogram::Histogram, special, stats, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,29 +43,6 @@ proptest! {
         prop_assert!((special::erf(lo) + special::erf(-lo)).abs() < 1e-12);
         prop_assert!(special::erf(hi) >= special::erf(lo) - 1e-12);
         prop_assert!(special::erf(hi).abs() <= 1.0);
-    }
-
-    /// Brent finds the root of any monotone cubic with a sign change.
-    #[test]
-    fn brent_on_monotone_cubics(shift in -50.0f64..50.0) {
-        let f = |x: f64| (x - shift).powi(3) + (x - shift);
-        let root = roots::brent(f, shift - 100.0, shift + 100.0, 1e-12, 200).unwrap();
-        prop_assert!((root - shift).abs() < 1e-6);
-    }
-
-    /// Adaptive Simpson integrates polynomials of degree ≤ 3 exactly.
-    #[test]
-    fn simpson_exact_for_cubics(
-        a in -3.0f64..3.0, b in -3.0f64..3.0, c in -3.0f64..3.0, d in -3.0f64..3.0,
-        lo in -5.0f64..0.0, hi in 0.0f64..5.0,
-    ) {
-        let f = |x: f64| a * x.powi(3) + b * x * x + c * x + d;
-        let exact = a / 4.0 * (hi.powi(4) - lo.powi(4))
-            + b / 3.0 * (hi.powi(3) - lo.powi(3))
-            + c / 2.0 * (hi * hi - lo * lo)
-            + d * (hi - lo);
-        let v = integrate::adaptive_simpson(f, lo, hi, 1e-12).unwrap();
-        prop_assert!((v - exact).abs() < 1e-7 * exact.abs().max(1.0));
     }
 
     /// Percentiles are monotone in p and bounded by min/max.

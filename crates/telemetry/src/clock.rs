@@ -96,12 +96,6 @@ impl Clock {
         )
     }
 
-    /// Whether this is a deterministic test clock.
-    #[must_use]
-    pub fn is_test(&self) -> bool {
-        matches!(self.kind, ClockKind::Test(_))
-    }
-
     /// The current reading, in nanoseconds since the clock's origin.
     #[must_use]
     pub fn now_nanos(&self) -> u64 {
@@ -132,7 +126,6 @@ mod tests {
     #[test]
     fn test_clock_is_deterministic() {
         let (clock, handle) = Clock::test();
-        assert!(clock.is_test());
         assert_eq!(clock.now_nanos(), 0);
         let t0 = clock.now_nanos();
         handle.advance(Duration::from_secs(3));
@@ -146,7 +139,6 @@ mod tests {
     #[test]
     fn system_clock_is_monotonic() {
         let clock = Clock::system();
-        assert!(!clock.is_test());
         let a = clock.now_nanos();
         let b = clock.now_nanos();
         assert!(b >= a);

@@ -24,8 +24,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// A streaming JSONL event sink.
 ///
@@ -36,14 +35,14 @@ use std::sync::Mutex;
 /// [`JsonlRecorder::write_snapshot`].
 ///
 /// Write failures are swallowed after the file is created: a full disk
-/// costs telemetry, never the run.
+/// costs telemetry, never the run. A panic while a line is being
+/// written does not stop the log either: later lines recover the lock
+/// and keep appending.
 #[derive(Debug)]
 pub struct JsonlRecorder {
     path: PathBuf,
     file: Mutex<BufWriter<fs::File>>,
     clock: Clock,
-    poisoned: AtomicBool,
-    reported: AtomicBool,
 }
 
 impl JsonlRecorder {
@@ -63,8 +62,6 @@ impl JsonlRecorder {
             path,
             file: Mutex::new(BufWriter::new(file)),
             clock,
-            poisoned: AtomicBool::new(false),
-            reported: AtomicBool::new(false),
         })
     }
 
@@ -86,31 +83,12 @@ impl JsonlRecorder {
         // sound — at worst one torn line, which the parser already
         // tolerates at the tail. Recover and keep logging: losing the
         // whole telemetry stream to one bad job would be the bug.
-        let mut file = self.file.lock().unwrap_or_else(|e| {
-            self.poisoned.store(true, Ordering::Relaxed);
-            e.into_inner()
-        });
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         // Flushed per line: a killed process keeps everything logged.
         let _ = file
             .write_all(line.as_bytes())
             .and_then(|()| file.write_all(b"\n"))
             .and_then(|()| file.flush());
-    }
-
-    /// Whether a panic ever poisoned (and [`Self`] recovered) the log
-    /// lock.
-    #[must_use]
-    pub fn poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
-    }
-
-    /// One-shot poisoning report: `true` on the first call after the
-    /// log lock was poisoned and recovered, `false` before that and
-    /// ever after. Callers turn this into their own typed error (the
-    /// engine reports it as a lock-poisoned condition on the log path)
-    /// so the panic is surfaced exactly once instead of cascading.
-    pub fn take_poison_report(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed) && !self.reported.swap(true, Ordering::Relaxed)
     }
 
     /// Appends one full metrics snapshot line.
@@ -490,6 +468,31 @@ mod tests {
         assert_eq!(snap.gauges["pool.queue_depth"], 4.0);
         assert_eq!(snap.histograms["engine.compute_s"].count, 1);
         assert_eq!(snap, metrics.snapshot(), "snapshot must round-trip exactly");
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn logging_continues_after_a_panic_poisons_the_lock() {
+        let path = temp_path("poisoned");
+        let (clock, handle) = Clock::test();
+        let log = JsonlRecorder::create(&path, clock).unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = log.file.lock().unwrap();
+            panic!("a job dies while holding the log lock");
+        }));
+        assert!(panicked.is_err() && log.file.is_poisoned());
+        handle.set_nanos(7);
+        log.event("job.done", &[("index", Value::U64(1))]);
+        let metrics = MetricsRecorder::new();
+        metrics.counter_add("engine.jobs", 1);
+        log.write_snapshot(&metrics.snapshot());
+
+        let parsed = TelemetryLog::load(&path).unwrap();
+        assert!(!parsed.truncated_tail);
+        assert_eq!(parsed.events.len(), 1);
+        assert_eq!(parsed.events[0].name, "job.done");
+        assert_eq!(parsed.events[0].u64("index"), Some(1));
+        assert_eq!(parsed.metrics.unwrap().counter("engine.jobs"), 1);
         let _ = fs::remove_file(&path);
     }
 

@@ -32,13 +32,6 @@ impl Joule {
         );
         self.value() / (crate::constants::K_B * temperature.value())
     }
-
-    /// Builds an energy from a multiple of `kB·T`.
-    #[inline]
-    #[must_use]
-    pub fn from_kbt_units(delta: f64, temperature: crate::Kelvin) -> Self {
-        Self::new(delta * crate::constants::K_B * temperature.value())
-    }
 }
 
 #[cfg(test)]
@@ -48,7 +41,7 @@ mod tests {
 
     #[test]
     fn kbt_round_trip() {
-        let eb = Joule::from_kbt_units(45.5, Kelvin::new(300.0));
+        let eb = Joule::new(45.5 * crate::constants::K_B * 300.0);
         assert!((eb.in_units_of_kbt(Kelvin::new(300.0)) - 45.5).abs() < 1e-12);
     }
 

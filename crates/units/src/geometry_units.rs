@@ -35,13 +35,6 @@ impl Nanometer {
 }
 
 impl Meter {
-    /// Converts to nanometres.
-    #[inline]
-    #[must_use]
-    pub fn to_nanometer(self) -> Nanometer {
-        Nanometer::new(self.value() * 1e9)
-    }
-
     /// Squares the length, yielding an area.
     #[inline]
     #[must_use]
@@ -56,13 +49,6 @@ impl SquareMeter {
     #[must_use]
     pub fn to_square_micrometer(self) -> f64 {
         self.value() * 1e12
-    }
-
-    /// Builds an area from a value in square micrometres.
-    #[inline]
-    #[must_use]
-    pub fn from_square_micrometer(um2: f64) -> Self {
-        Self::new(um2 * 1e-12)
     }
 }
 
@@ -88,7 +74,7 @@ mod tests {
     #[test]
     fn nanometer_meter_round_trip() {
         let d = Nanometer::new(87.5);
-        assert!((d.to_meter().to_nanometer().value() - 87.5).abs() < 1e-9);
+        assert!((d.to_meter().value() * 1e9 - 87.5).abs() < 1e-9);
     }
 
     #[test]
@@ -100,7 +86,7 @@ mod tests {
 
     #[test]
     fn ra_area_convention_round_trips() {
-        let a = SquareMeter::from_square_micrometer(4.5);
+        let a = SquareMeter::new(4.5e-12);
         assert!((a.to_square_micrometer() - 4.5).abs() < 1e-12);
     }
 

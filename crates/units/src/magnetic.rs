@@ -40,13 +40,6 @@ impl SaturationMagnetization {
         Self::new(emu_cc * 1000.0)
     }
 
-    /// Returns the CGS value in emu/cm³.
-    #[inline]
-    #[must_use]
-    pub fn to_emu_per_cc(self) -> f64 {
-        self.value() / 1000.0
-    }
-
     /// The `Ms·t` sheet product for a film of the given thickness.
     ///
     /// # Examples
@@ -94,7 +87,7 @@ mod tests {
     #[test]
     fn emu_per_cc_round_trip() {
         let ms = SaturationMagnetization::from_emu_per_cc(600.0);
-        assert!((ms.to_emu_per_cc() - 600.0).abs() < 1e-12);
+        assert!((ms.value() / 1000.0 - 600.0).abs() < 1e-12);
     }
 
     #[test]

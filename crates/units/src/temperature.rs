@@ -28,13 +28,6 @@ impl Celsius {
 }
 
 impl Kelvin {
-    /// Converts to degrees Celsius.
-    #[inline]
-    #[must_use]
-    pub fn to_celsius(self) -> Celsius {
-        Celsius::new(self.value() - 273.15)
-    }
-
     /// Returns `true` for a physically meaningful absolute temperature.
     #[inline]
     #[must_use]
@@ -50,8 +43,8 @@ mod tests {
     #[test]
     fn celsius_kelvin_round_trip() {
         for c in [0.0, 27.0, 85.0, 150.0] {
-            let back = Celsius::new(c).to_kelvin().to_celsius();
-            assert!((back.value() - c).abs() < 1e-12);
+            let back = Celsius::new(c).to_kelvin().value() - 273.15;
+            assert!((back - c).abs() < 1e-12);
         }
     }
 
