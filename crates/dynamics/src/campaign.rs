@@ -6,11 +6,14 @@
 //! out in (cell, replica) order and cut into blocks of [`LANES`] lanes
 //! regardless of cell boundaries — a lane carries its own cell's
 //! coefficients, drive and stream — so only the batch's last block holds
-//! padding, and the pool balances across the whole array rather than
-//! cell by cell. Each block reduces to one switched flag per lane on the
-//! worker (**streaming aggregation** — per-replica outcomes never leave
-//! the worker thread, and nothing is allocated per replica or per
-//! block).
+//! padding. Any thread may claim the batch's next block from a shared
+//! cursor: the caller's pool, a request that needs one of the batch's
+//! ensembles ([`crate::EnsembleMemo`]), or an idle worker of the
+//! caller's dispatch ([`pool::post`]). Each block reduces to one
+//! switched flag per lane on the thread that ran it, summed into
+//! per-cell failure counts (**streaming aggregation** — per-replica
+//! outcomes never leave that thread, and nothing is allocated per
+//! replica or per block).
 //!
 //! Determinism contract: cell `c` runs on the derived seed
 //! [`cell_seed`]`(plan.seed, c)` and every replica inside it on the
@@ -24,8 +27,11 @@ use crate::ensemble::{run_lanes, EnsemblePlan, LaneSpec, LANES};
 use crate::llgs::MacrospinParams;
 use crate::mc::WerEstimate;
 use mramsim_numerics::hash::Fnv1a;
-use mramsim_numerics::pool::WorkerPool;
+use mramsim_numerics::pool::{self, Help, WorkerPool};
 use mramsim_telemetry as telemetry;
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One cell's operating point in a campaign: its calibrated macrospin
 /// coefficients (with the cell's total stray field already applied)
@@ -125,65 +131,212 @@ pub fn wer_campaign_seeded(
     plan: &EnsemblePlan,
     pool: &WorkerPool,
 ) -> Vec<WerEstimate> {
-    assert!(
-        plan.trajectories > 0 || cells.is_empty(),
-        "a campaign needs at least one replica per cell"
-    );
-    assert_eq!(
-        seeds.len(),
-        cells.len(),
-        "one seed per campaign cell required"
-    );
-    // The campaign span: lane blocks fan out on the pool below, so
-    // every solver block runs inside this context in traces.
-    let mut campaign_span = None;
-    if telemetry::enabled() {
-        campaign_span = Some(telemetry::span_tree_with(
-            "wer.campaign",
-            &[("cells", telemetry::Value::U64(cells.len() as u64))],
-        ));
+    let _span = campaign_span(cells.len());
+    Arc::new(Batch::new(cells.to_vec(), seeds.to_vec(), pulse, plan)).own(pool)
+}
+
+/// Opens the `wer.campaign` span of a batch of `cells` ensembles.
+pub(crate) fn campaign_span(cells: usize) -> telemetry::TreeSpan {
+    let cells = telemetry::Value::U64(cells as u64);
+    telemetry::span_tree_with("wer.campaign", &[("cells", cells)])
+}
+
+/// A batch of ensembles in lane blocks that any thread may claim in
+/// turn. Replica `g` is replica `g % n` of ensemble `g / n`; lanes past
+/// the last replica repeat it and are discarded. Blocks add their
+/// failures to per-ensemble sums, so no estimate depends on which
+/// thread ran which block.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    cells: Vec<CellDrive>,
+    seeds: Vec<u64>,
+    plan: EnsemblePlan,
+    steps: usize,
+    blocks: usize,
+    /// The owner's span context (inside its `wer.campaign` span),
+    /// entered by the threads that help.
+    ctx: telemetry::SpanCtx,
+    tally: Mutex<Tally>,
+    /// Signalled when [`Tally::settled`] turns true.
+    settled: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Tally {
+    failures: Vec<usize>,
+    /// Blocks claimed; the next claim takes block `claimed`.
+    claimed: usize,
+    /// Claimed blocks not yet ended.
+    running: usize,
+    /// Blocks ended on threads helping the owner.
+    helped: u64,
+    /// Set by a block's panic: no block is claimed after it.
+    failed: bool,
+    /// The first block panic, re-raised by the owner.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Tally {
+    /// No block runs, and none will.
+    fn settled(&self, blocks: usize) -> bool {
+        self.running == 0 && (self.failed || self.claimed == blocks)
     }
-    let _campaign_span = campaign_span;
+}
 
-    // Replica `g` of the batch is replica `g % n` of cell `g / n`; lanes
-    // past the last replica repeat it and are discarded.
-    let n = plan.trajectories;
-    let total = cells.len() * n;
-    let steps = plan.steps_for(pulse);
-    let blocks: Vec<usize> = (0..total).step_by(LANES).collect();
-    let switched: Vec<[bool; LANES]> = pool.scoped_map(&blocks, |_, &first| {
-        let lanes = core::array::from_fn(|l| {
-            let g = (first + l).min(total - 1);
-            let cell = &cells[g / n];
-            LaneSpec {
-                params: &cell.params,
-                current: cell.current,
-                seed: seeds[g / n],
-                index: (g % n) as u64,
-            }
-        });
-        run_lanes(&lanes, steps, plan.dt, plan.thermal).map(|o| o.switched)
-    });
-
-    let mut failures = vec![0usize; cells.len()];
-    for (&first, block) in blocks.iter().zip(&switched) {
-        for (g, &ok) in (first..total.min(first + LANES)).zip(block) {
-            failures[g / n] += usize::from(!ok);
+impl Batch {
+    /// The batch of `cells` on `seeds`, helped inside the current span.
+    ///
+    /// # Panics
+    ///
+    /// As [`wer_campaign_seeded`].
+    pub(crate) fn new(
+        cells: Vec<CellDrive>,
+        seeds: Vec<u64>,
+        pulse: f64,
+        plan: &EnsemblePlan,
+    ) -> Self {
+        assert!(
+            plan.trajectories > 0 || cells.is_empty(),
+            "a campaign needs at least one replica per cell"
+        );
+        assert_eq!(
+            seeds.len(),
+            cells.len(),
+            "one seed per campaign cell required"
+        );
+        Self {
+            steps: plan.steps_for(pulse),
+            blocks: (cells.len() * plan.trajectories).div_ceil(LANES),
+            ctx: telemetry::SpanCtx::current(),
+            tally: Mutex::new(Tally {
+                failures: vec![0; cells.len()],
+                ..Tally::default()
+            }),
+            settled: Condvar::new(),
+            cells,
+            seeds,
+            plan: *plan,
         }
     }
-    // The campaign is the batch producer of WER estimates — count them
-    // here so `llgs.wer_estimates` / `llgs.trajectories` cover both the
-    // per-cell and the standalone Monte-Carlo entry points.
-    if telemetry::enabled() {
-        telemetry::counter_add("llgs.wer_estimates", cells.len() as u64);
-        telemetry::counter_add("llgs.trajectories", total as u64);
+
+    /// Locks the tally, recovering from poisoning: every update leaves
+    /// it whole.
+    fn lock(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().unwrap_or_else(PoisonError::into_inner)
     }
-    // Estimator health is the caller's to report: only it knows what
-    // an entry stands for (a cell, or a window class and its members).
-    failures
-        .into_iter()
-        .map(|failed| WerEstimate::from_counts(n, failed))
-        .collect()
+
+    /// Claims and runs the next block; `false` when none was left. A
+    /// block's panic fails the batch instead of unwinding this thread,
+    /// which may be helping someone else's request.
+    fn run_next(&self, helping: bool) -> bool {
+        let block = {
+            let mut tally = self.lock();
+            if tally.failed || tally.claimed == self.blocks {
+                return false;
+            }
+            tally.claimed += 1;
+            tally.running += 1;
+            tally.claimed - 1
+        };
+        let n = self.plan.trajectories;
+        let total = self.cells.len() * n;
+        let first = block * LANES;
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            // A helper's span ends with its block, inside the owner's.
+            let _ctx = helping.then(|| self.ctx.enter());
+            let _span = helping.then(|| telemetry::span_tree("wer.help"));
+            let lanes = core::array::from_fn(|l| {
+                let g = (first + l).min(total - 1);
+                let cell = &self.cells[g / n];
+                LaneSpec {
+                    params: &cell.params,
+                    current: cell.current,
+                    seed: self.seeds[g / n],
+                    index: (g % n) as u64,
+                }
+            });
+            run_lanes(&lanes, self.steps, self.plan.dt, self.plan.thermal)
+        }));
+        let mut tally = self.lock();
+        tally.running -= 1;
+        match outcome {
+            Ok(lanes) => {
+                for (g, lane) in (first..total.min(first + LANES)).zip(&lanes) {
+                    tally.failures[g / n] += usize::from(!lane.switched);
+                }
+                tally.helped += u64::from(helping);
+            }
+            Err(payload) => {
+                tally.failed = true;
+                tally.panic.get_or_insert(payload);
+            }
+        }
+        if tally.settled(self.blocks) {
+            self.settled.notify_all();
+        }
+        true
+    }
+
+    /// Runs the unclaimed blocks on `pool`, then waits for those other
+    /// threads still run: the estimates, or `None` if the batch failed.
+    /// A request that joins another's batch calls this `helping`.
+    pub(crate) fn finish(&self, pool: &WorkerPool, helping: bool) -> Option<Vec<WerEstimate>> {
+        let unclaimed = self.blocks - self.lock().claimed;
+        pool.scoped_map(&vec![(); pool.workers().min(unclaimed)], |_, ()| {
+            while self.run_next(helping) {}
+        });
+        let mut tally = self.lock();
+        while !tally.settled(self.blocks) {
+            tally = self
+                .settled
+                .wait(tally)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        let n = self.plan.trajectories;
+        (!tally.failed).then(|| {
+            let counts = tally.failures.iter();
+            counts.map(|&f| WerEstimate::from_counts(n, f)).collect()
+        })
+    }
+
+    /// Runs the batch as its owner: posts it for the idle workers of
+    /// this thread's dispatch, finishes it on `pool`, and counts its
+    /// estimates, trajectories and helped blocks once.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first block panic, on whichever thread it ran.
+    pub(crate) fn own(self: &Arc<Self>, pool: &WorkerPool) -> Vec<WerEstimate> {
+        pool::post(self);
+        let Some(estimates) = self.finish(pool, false) else {
+            let payload = self.lock().panic.take();
+            resume_unwind(payload.unwrap_or_else(|| Box::new("a lane block panicked")));
+        };
+        // The owner is the batch producer of WER estimates — count them
+        // here so `llgs.wer_estimates` / `llgs.trajectories` cover both
+        // the per-cell and the standalone Monte-Carlo entry points.
+        if telemetry::enabled() {
+            let trajectories = self.cells.len() * self.plan.trajectories;
+            telemetry::counter_add("llgs.wer_estimates", self.cells.len() as u64);
+            telemetry::counter_add("llgs.trajectories", trajectories as u64);
+            telemetry::counter_add("llgs.blocks_helped", self.lock().helped);
+        }
+        // Estimator health is the caller's to report: only it knows
+        // what an entry stands for (a cell, or a window class and its
+        // members).
+        estimates
+    }
+
+    /// Whether a block panicked.
+    pub(crate) fn failed(&self) -> bool {
+        self.lock().failed
+    }
+}
+
+impl Help for Batch {
+    fn help(&self) -> bool {
+        self.run_next(true)
+    }
 }
 
 #[cfg(test)]
@@ -192,6 +345,13 @@ mod tests {
     use crate::wer_monte_carlo;
     use mramsim_mtj::{presets, SwitchDirection};
     use mramsim_units::{Kelvin, Nanometer, Oersted};
+
+    impl Batch {
+        /// Blocks ended on threads helping the owner.
+        pub(crate) fn helped(&self) -> u64 {
+            self.lock().helped
+        }
+    }
 
     fn base() -> MacrospinParams {
         let device = presets::imec_like(Nanometer::new(35.0)).unwrap();
@@ -292,6 +452,30 @@ mod tests {
         assert_ne!(cell_seed(7, 0), cell_seed(8, 0));
         // The domain tag keeps cell streams off the raw base seed.
         assert_ne!(cell_seed(7, 0), 7);
+    }
+
+    #[test]
+    fn an_idle_worker_helps_a_batch_bit_identically() {
+        // One item of a 2-worker dispatch owns a 24-block batch on a
+        // one-wide pool, the other item is trivial: its worker, out of
+        // items, runs some of the batch's blocks.
+        let cells = cells(&[0.0, -200.0, 150.0, -366.0], 3.0);
+        let seeds = [5, 6, 7, 8];
+        let plan = EnsemblePlan::new(96, 1, 2e-12).unwrap();
+        let batch = Arc::new(Batch::new(cells.clone(), seeds.to_vec(), 2e-9, &plan));
+        let out = WorkerPool::new(2).scoped_map(&[0, 1], |_, &item| {
+            if item == 1 {
+                // Out of items only once the batch is posted, as a
+                // dispatch whose jobs never post lets idle workers exit.
+                while batch.lock().claimed == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            (item == 0).then(|| batch.own(&WorkerPool::new(1)))
+        });
+        assert!(batch.helped() > 0, "the idle worker ran no block");
+        let alone = wer_campaign_seeded(&cells, &seeds, 2e-9, &plan, &WorkerPool::new(1));
+        assert_eq!(out[0].as_deref(), Some(&alone[..]));
     }
 
     #[test]

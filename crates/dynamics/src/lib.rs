@@ -36,7 +36,9 @@
 //! * [`EnsembleMemo`] — the shared bounded
 //!   [`Memo`](mramsim_numerics::memo::Memo) in front of
 //!   [`wer_campaign_seeded`], keyed by the exact bits of each
-//!   ensemble's inputs, so a campaign runs each distinct window once.
+//!   ensemble's inputs, with single-flight batches that waiting and idle
+//!   threads help run, so a campaign runs each distinct window once at
+//!   any worker count.
 //!
 //! # Example: Monte-Carlo WER vs the analytic model
 //!

@@ -133,10 +133,11 @@ fn jsonl_log_of_a_real_array_wer_sweep_round_trips() {
 
 #[test]
 fn campaign_counters_split_class_rows_into_runs_and_memo_hits() {
-    // A seeded 2-shard campaign at 1 worker: every class row is either
-    // an ensemble run or a memo hit, and the ensembles run are exactly
-    // the distinct windows. A second engine starts from an empty memo
-    // and reports the same split.
+    // A seeded 2-shard campaign at 1, 2 and 4 workers: every class row
+    // is either an ensemble run or a memo hit, and the ensembles run are
+    // exactly the distinct windows, even when shards ask for the same
+    // windows at once. Each engine starts from an empty memo and reports
+    // the same split.
     let _serial = install_lock();
     let plan = SweepPlan::new("array-wer-shard")
         .fix("rows", 32.0)
@@ -148,7 +149,7 @@ fn campaign_counters_split_class_rows_into_runs_and_memo_hits() {
         .fix("field_tol", 60.0)
         .fix("seed", 5.0)
         .axis("shard", vec![0.0, 1.0]);
-    for engine in [Engine::standard(), Engine::standard()] {
+    for workers in [1, 2, 4] {
         let path = scratch_path("memo").with_extension("telemetry");
         let metrics = Arc::new(MetricsRecorder::new());
         let sink = Arc::new(JsonlRecorder::create(&path, Clock::system()).expect("create log"));
@@ -156,7 +157,10 @@ fn campaign_counters_split_class_rows_into_runs_and_memo_hits() {
             metrics.clone() as Arc<dyn telemetry::Recorder>,
             sink,
         ])));
-        let outcome = engine.with_workers(1).sweep(&plan).expect("sweep runs");
+        let outcome = Engine::standard()
+            .with_workers(workers)
+            .sweep(&plan)
+            .expect("sweep runs");
         drop(guard);
         assert_eq!(outcome.errors, 0);
         let snapshot = metrics.snapshot();
@@ -177,9 +181,13 @@ fn campaign_counters_split_class_rows_into_runs_and_memo_hits() {
 
         let rows = total_classes(&outcome);
         let distinct = windows.len() as u64;
-        assert_eq!(snapshot.counter("campaign.classes"), rows);
+        assert_eq!(snapshot.counter("campaign.classes"), rows, "{workers}");
         assert_eq!(class_events.len() as u64, rows);
-        assert_eq!(snapshot.counter("llgs.wer_estimates"), distinct);
+        assert_eq!(
+            snapshot.counter("llgs.wer_estimates"),
+            distinct,
+            "{workers}"
+        );
         assert_eq!(ran as u64, distinct);
         assert_eq!(snapshot.counter("campaign.memo_hits"), rows - distinct);
         assert!(rows > distinct, "the shards share interior windows");

@@ -25,7 +25,9 @@
 //! 3. **One ensemble per distinct window.** Class ensembles run through
 //!    an [`EnsembleMemo`] keyed by their exact inputs, so a window that
 //!    recurs in another shard of the same campaign is served, not
-//!    rerun — bit-identical either way.
+//!    rerun, at any worker count: a shard that needs a window another
+//!    shard is running joins that batch and helps run it —
+//!    bit-identical either way.
 //!
 //! The stray field comes from the shared [`StrayFieldKernel`], grown
 //! ring by ring to the caller's `field_tol` accuracy (up to
@@ -722,6 +724,57 @@ mod tests {
         assert_eq!(stats.misses, windows.len() as u64);
         assert_eq!(stats.hits, (rows - windows.len()) as u64);
         assert!(stats.hits > 0, "interior shards repeat their windows");
+    }
+
+    #[test]
+    fn concurrent_shards_run_each_window_once_through_one_memo() {
+        // 2, 3 and 4 threads leave a barrier together and each runs
+        // every shard, from its own starting shard, through one memo:
+        // every distinct window runs once, whoever asks first, and every
+        // report equals a fresh-memo run.
+        let dev = device();
+        let grid = board(256);
+        let plan = ShardPlan::new(256, 64).unwrap();
+        let cfg = ArrayWerConfig {
+            pulse: Nanosecond::new(2.0),
+            ..config(8)
+        };
+        let pitch = Nanometer::new(70.0);
+        let one = WorkerPool::new(1);
+        let shards = plan.n_shards();
+        let fresh: Vec<ShardWerReport> = (0..shards)
+            .map(|s| fresh_shard(&dev, pitch, &grid, &plan, s, &cfg, &one).unwrap())
+            .collect();
+        let windows: BTreeSet<u64> = fresh
+            .iter()
+            .flat_map(|r| r.classes.iter().map(|c| c.window_key))
+            .collect();
+        let rows: usize = fresh.iter().map(|r| r.classes.len()).sum();
+        for threads in [2, 3, 4] {
+            let memo = EnsembleMemo::new();
+            let ensembles = Ensembles {
+                pool: &one,
+                memo: &memo,
+            };
+            let start = std::sync::Barrier::new(threads);
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let (dev, grid, plan, fresh, start) = (&dev, &grid, &plan, &fresh, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for s in (0..shards).map(|k| (k + t) % shards) {
+                            let report =
+                                shard_wer_campaign(dev, pitch, grid, plan, s, &cfg, ensembles)
+                                    .unwrap();
+                            assert_eq!(report, fresh[s], "{threads} threads, shard {s}");
+                        }
+                    });
+                }
+            });
+            let stats = memo.stats();
+            assert_eq!(stats.misses, windows.len() as u64, "{threads} threads");
+            assert_eq!(stats.hits, (threads * rows - windows.len()) as u64);
+        }
     }
 
     #[test]

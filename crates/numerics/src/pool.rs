@@ -22,6 +22,21 @@
 //! map run inside a sweep job uses the cores the sweep leaves idle and
 //! a wide sweep does not multiply thread counts.
 //!
+//! # Helping on idle
+//!
+//! A job may [`post`] work made of pieces any thread can claim, as an
+//! s-LLGS campaign posts its batch of lane blocks. Once a job of its
+//! dispatch has posted, a worker out of items does not exit while the
+//! dispatch has unfinished items: it runs pieces its dispatch's jobs
+//! posted, and that time counts as busy (and, in a dispatch outside any
+//! pool job, as `pool.help_ns`), so a sweep's last heavy job finishes
+//! on every core. (A dispatch that never posts, like a field
+//! map, lets its idle workers exit at once.) Help reaches no
+//! further than the dispatch: a job posts on the board of the
+//! multi-worker dispatch whose thread runs it (inline nested dispatches
+//! included), a nested multi-worker dispatch has a board of its own, and
+//! two sweeps of one server never run each other's work.
+//!
 //! # Examples
 //!
 //! ```
@@ -33,15 +48,130 @@
 //! ```
 
 use mramsim_telemetry as telemetry;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 thread_local! {
     /// This thread's width when it is a pool worker (`None` elsewhere:
     /// the machine's width).
     static WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The board of the multi-worker dispatch this thread works for.
+    static BOARD: RefCell<Option<Arc<Board>>> = const { RefCell::new(None) };
+}
+
+/// Work that idle workers may help finish: pieces any thread can claim,
+/// each of which finishes without waiting on other work.
+pub trait Help: Send + Sync {
+    /// Claims and runs one piece; `false` when none was left to claim.
+    fn help(&self) -> bool;
+}
+
+/// What one dispatch's jobs posted, and its items not yet finished.
+struct Board {
+    state: Mutex<BoardState>,
+    /// Signalled on every post and when the last item finishes.
+    changed: Condvar,
+}
+
+struct BoardState {
+    /// Posted work; a posting lasts as long as its work.
+    posted: Vec<Weak<dyn Help>>,
+    /// Counts posts, so an idle worker can tell new work from old.
+    posts: u64,
+    unfinished: usize,
+}
+
+impl Board {
+    /// Locks the state, recovering from poisoning: every update is one
+    /// push, retain or decrement, and [`ItemDone`]'s drop must not panic.
+    fn lock(&self) -> MutexGuard<'_, BoardState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Helps with posted work until every item has finished, if any job
+    /// has posted; returns the time spent on pieces.
+    fn help_until_done(&self) -> Duration {
+        let (mut helping, mut state) = (Duration::ZERO, self.lock());
+        while state.posts > 0 && state.unfinished > 0 {
+            state.posted.retain(|work| work.strong_count() > 0);
+            let seen = state.posts;
+            let posted: Vec<Arc<dyn Help>> =
+                state.posted.iter().filter_map(Weak::upgrade).collect();
+            drop(state);
+            let (start, mut helped) = (Instant::now(), false);
+            for work in &posted {
+                while work.help() {
+                    helped = true;
+                }
+            }
+            if helped {
+                helping += start.elapsed();
+            }
+            state = self.lock();
+            if !helped && state.posts == seen && state.unfinished > 0 {
+                state = self
+                    .changed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        helping
+    }
+}
+
+/// Counts an item finished when dropped, by return or by panic, and
+/// wakes the idle workers after the last.
+struct ItemDone<'a>(&'a Board);
+
+impl Drop for ItemDone<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.unfinished -= 1;
+        if state.unfinished == 0 {
+            self.0.changed.notify_all();
+        }
+    }
+}
+
+/// Posts `work` for the idle workers of the dispatch this thread works
+/// for (see the module docs), for as long as the work lives. Outside a
+/// multi-worker dispatch nobody would help, and nothing is posted.
+pub fn post<W: Help + 'static>(work: &Arc<W>) {
+    let work = Arc::downgrade(work);
+    BOARD.with_borrow(|board| {
+        if let Some(board) = board {
+            let mut state = board.lock();
+            state.posts += 1;
+            state.posted.push(work);
+            board.changed.notify_all();
+        }
+    });
+}
+
+/// Steals from the back of the fullest queue but `thief`'s. A victim
+/// can empty between the scan and the pop (`between` runs there in the
+/// tests), so the scan repeats until every other queue is empty.
+fn steal(
+    queues: &[Mutex<VecDeque<usize>>],
+    thief: usize,
+    between: impl Fn(usize),
+) -> Option<usize> {
+    let lock = |v: usize| queues[v].lock().expect("queue poisoned");
+    loop {
+        let (victim, len) = (0..queues.len())
+            .filter(|&v| v != thief)
+            .map(|v| (v, lock(v).len()))
+            .max_by_key(|&(_, len)| len)?;
+        if len == 0 {
+            return None;
+        }
+        between(victim);
+        if let Some(idx) = lock(victim).pop_back() {
+            return Some(idx);
+        }
+    }
 }
 
 /// The width a default pool takes on this thread.
@@ -134,6 +264,9 @@ impl WorkerPool {
         }
 
         let share = (current_width() / workers).max(1);
+        // Help the workers of a dispatch outside any pool job give falls
+        // outside every item's time, so it is reported on its own.
+        let top_level = WIDTH.get().is_none();
 
         // Capture the caller's span context so jobs opened on worker
         // threads still nest under the dispatching span (e.g. every
@@ -154,13 +287,24 @@ impl WorkerPool {
             })
             .collect();
 
+        let board = Arc::new(Board {
+            state: Mutex::new(BoardState {
+                posted: Vec::new(),
+                posts: 0,
+                unfinished: items.len(),
+            }),
+            changed: Condvar::new(),
+        });
+
         let mut computed: Vec<(usize, R)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     let queues = &queues;
                     let f = &f;
+                    let board = Arc::clone(&board);
                     scope.spawn(move || {
                         WIDTH.set(Some(share));
+                        BOARD.set(Some(Arc::clone(&board)));
                         // Adopt the dispatcher's span context and name
                         // this thread's trace lane after its worker
                         // slot before any job span opens.
@@ -172,6 +316,7 @@ impl WorkerPool {
                         let mut busy = Duration::ZERO;
                         let mut steals = 0u64;
                         let run = |idx: usize, busy: &mut Duration| {
+                            let _done = ItemDone(&board);
                             if record {
                                 let t = Instant::now();
                                 let r = f(idx, &items[idx]);
@@ -190,13 +335,8 @@ impl WorkerPool {
                                 continue;
                             }
                             // … then steal from the back of the fullest
-                            // other queue.
-                            let victim = (0..queues.len())
-                                .filter(|&v| v != w)
-                                .max_by_key(|&v| queues[v].lock().expect("queue poisoned").len());
-                            let stolen = victim
-                                .and_then(|v| queues[v].lock().expect("queue poisoned").pop_back());
-                            match stolen {
+                            // other queue …
+                            match steal(queues, w, |_| {}) {
                                 Some(idx) => {
                                     steals += 1;
                                     out.push(run(idx, &mut busy));
@@ -204,12 +344,19 @@ impl WorkerPool {
                                 None => break,
                             }
                         }
+                        // … and, out of items, help the work this
+                        // dispatch's jobs posted until the last finishes.
+                        let helping = board.help_until_done();
+                        busy += helping;
                         if let Some(start) = worker_start {
                             let idle = start.elapsed().saturating_sub(busy);
                             telemetry::observe("pool.worker_busy_s", busy.as_secs_f64());
                             telemetry::observe("pool.worker_idle_s", idle.as_secs_f64());
                             telemetry::counter_add("pool.busy_ns", busy.as_nanos() as u64);
                             telemetry::counter_add("pool.steals", steals);
+                            if top_level {
+                                telemetry::counter_add("pool.help_ns", helping.as_nanos() as u64);
+                            }
                         }
                         out
                     })
@@ -236,6 +383,8 @@ impl Default for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::AssertUnwindSafe;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -323,6 +472,174 @@ mod tests {
         });
         assert!(caught.is_err());
         assert_eq!(WorkerPool::default().workers(), m);
+    }
+
+    #[test]
+    fn a_thief_rescans_when_its_victim_empties_before_the_pop() {
+        let queues: Vec<Mutex<VecDeque<usize>>> = [vec![], vec![1, 2], vec![3]]
+            .into_iter()
+            .map(|q| Mutex::new(q.into()))
+            .collect();
+        // The scan picks queue 1, the fullest; its owner drains it before
+        // the thief pops. The thief must go on to queue 2, not give up.
+        let drained = |victim: usize| {
+            if victim == 1 {
+                queues[1].lock().unwrap().clear();
+            }
+        };
+        assert_eq!(steal(&queues, 0, drained), Some(3));
+        assert_eq!(
+            steal(&queues, 0, drained),
+            None,
+            "every other queue is empty"
+        );
+    }
+
+    /// Work of `total` pieces that records the threads running them.
+    /// Gated pieces each wait until every piece has started, so they
+    /// finish only when that many threads run them at once.
+    struct Pieces {
+        total: usize,
+        gated: bool,
+        next: AtomicUsize,
+        runners: Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Pieces {
+        fn new(total: usize, gated: bool) -> Arc<Self> {
+            Arc::new(Self {
+                total,
+                gated,
+                next: AtomicUsize::new(0),
+                runners: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn runners(&self) -> Vec<std::thread::ThreadId> {
+            self.runners.lock().unwrap().clone()
+        }
+    }
+
+    impl Help for Pieces {
+        fn help(&self) -> bool {
+            if self.next.fetch_add(1, Ordering::SeqCst) >= self.total {
+                return false;
+            }
+            self.runners
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            if self.gated {
+                wait_until(|| self.runners().len() == self.total);
+            }
+            true
+        }
+    }
+
+    /// Polls `done`, failing instead of hanging after ten seconds.
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn idle_workers_help_the_work_their_dispatch_posted() {
+        // One item posts two gated pieces: they finish only if the
+        // worker that ran the other item runs one of them once it is
+        // out of items.
+        let pieces = Pieces::new(2, true);
+        let posted = AtomicUsize::new(0);
+        WorkerPool::new(2).scoped_map(&[0, 1], |_, &item| {
+            if item == 0 {
+                post(&pieces);
+                posted.store(1, Ordering::SeqCst);
+                while pieces.help() {}
+            } else {
+                wait_until(|| posted.load(Ordering::SeqCst) == 1);
+            }
+        });
+        let runners: HashSet<_> = pieces.runners().into_iter().collect();
+        assert_eq!(runners.len(), 2, "both workers ran a piece");
+    }
+
+    #[test]
+    fn help_stays_inside_the_dispatch_that_posted() {
+        // Dispatch A posts work and keeps both its workers busy until
+        // dispatch B ends; B meanwhile has an idle worker, proven idle
+        // by helping B's own gated work. B must never touch A's work.
+        let a_work = Pieces::new(4, false);
+        let b_work = Pieces::new(2, true);
+        let posted = AtomicUsize::new(0);
+        let b_done = AtomicUsize::new(0);
+        let (a_threads, b_threads, a_claimed_during_b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| {
+                WorkerPool::new(2).scoped_map(&[0, 1], |_, &item| {
+                    if item == 0 {
+                        post(&a_work);
+                        posted.store(1, Ordering::SeqCst);
+                    }
+                    wait_until(|| b_done.load(Ordering::SeqCst) == 1);
+                    while a_work.help() {}
+                    std::thread::current().id()
+                })
+            });
+            let b = scope.spawn(|| {
+                let threads = WorkerPool::new(2).scoped_map(&[0, 1], |_, &item| {
+                    wait_until(|| posted.load(Ordering::SeqCst) >= 1);
+                    if item == 1 {
+                        post(&b_work);
+                        posted.store(2, Ordering::SeqCst);
+                        while b_work.help() {}
+                    } else {
+                        wait_until(|| posted.load(Ordering::SeqCst) == 2);
+                    }
+                    std::thread::current().id()
+                });
+                let claimed = a_work.next.load(Ordering::SeqCst);
+                b_done.store(1, Ordering::SeqCst);
+                (threads, claimed)
+            });
+            let (b_threads, claimed) = b.join().unwrap();
+            (a.join().unwrap(), b_threads, claimed)
+        });
+        assert_eq!(
+            a_claimed_during_b, 0,
+            "B's idle worker ran none of A's work"
+        );
+        let b_threads: HashSet<_> = b_threads.into_iter().chain(b_work.runners()).collect();
+        assert_eq!(b_threads.len(), 2, "B's idle worker helped B");
+        let a_runners = a_work.runners();
+        assert_eq!(a_runners.len(), 4);
+        assert!(a_runners.iter().all(|id| a_threads.contains(id)));
+        assert!(a_runners.iter().all(|id| !b_threads.contains(id)));
+    }
+
+    #[test]
+    fn a_panicking_item_strands_no_idle_worker() {
+        // Item 0 posts (work with no pieces), so item 1's worker idles
+        // on the board while item 0 panics; the panic must still end the
+        // dispatch instead of leaving that worker parked forever.
+        let dispatch = std::thread::spawn(|| {
+            let posted = AtomicUsize::new(0);
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::new(2).scoped_map(&[0, 1], |_, &item| {
+                    if item == 0 {
+                        let work = Pieces::new(0, false);
+                        post(&work);
+                        posted.store(1, Ordering::SeqCst);
+                        wait_until(|| posted.load(Ordering::SeqCst) == 2);
+                        panic!("item fails");
+                    }
+                    wait_until(|| posted.load(Ordering::SeqCst) == 1);
+                    posted.store(2, Ordering::SeqCst);
+                })
+            }))
+        });
+        wait_until(|| dispatch.is_finished());
+        assert!(dispatch.join().unwrap().is_err(), "the panic propagates");
     }
 
     /// Recorder installation is process-global: tests that install

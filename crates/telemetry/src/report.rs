@@ -432,7 +432,9 @@ pub fn render_stats(log: &TelemetryLog) -> String {
     if done > 0 && wall > 0.0 {
         let _ = writeln!(out, "jobs/s: {:.2}", done as f64 / wall);
     }
-    let busy_ns = snapshot.counter("engine.busy_ns");
+    // A worker out of jobs that helps a running job's campaign batch is
+    // busy outside every job's time: `pool.help_ns` adds it back.
+    let busy_ns = snapshot.counter("engine.busy_ns") + snapshot.counter("pool.help_ns");
     if busy_ns > 0 && wall > 0.0 {
         if let Some(workers) = start.and_then(|s| s.u64("workers")) {
             let busy = busy_ns as f64 / 1e9;
@@ -649,6 +651,46 @@ mod tests {
         assert!(report.contains("worker timeline"), "{report}");
         assert!(report.contains("worker 0"), "{report}");
         assert!(report.contains("% busy"), "{report}");
+    }
+
+    #[test]
+    fn pool_utilization_counts_help_as_busy_like_the_timeline() {
+        // Two workers over 100 ms: worker 0 runs job #0 throughout;
+        // worker 1 runs job #1 for 40 ms, then helps #0's batch outside
+        // any job of its own. Both are busy the whole time.
+        let line = |t: u64, lane: u64, name: &str, fields: &str| {
+            format!(
+                r#"{{"kind":"event","t_ns":{t},"lane":{lane},"name":"{name}","fields":{fields}}}"#
+            )
+        };
+        let ms = 1_000_000u64;
+        let text = [
+            line(0, 1, "sweep.start", r#"{"jobs":2,"workers":2}"#),
+            line(0, 2, "lane.label", r#"{"label":"worker 0"}"#),
+            line(0, 2, "span.begin", r#"{"id":1,"span":"job","index":0}"#),
+            line(0, 3, "lane.label", r#"{"label":"worker 1"}"#),
+            line(0, 3, "span.begin", r#"{"id":2,"span":"job","index":1}"#),
+            line(40 * ms, 3, "span.end", r#"{"id":2,"span":"job"}"#),
+            line(
+                40 * ms,
+                3,
+                "span.begin",
+                r#"{"id":3,"parent":1,"span":"wer.help"}"#,
+            ),
+            line(100 * ms, 3, "span.end", r#"{"id":3,"span":"wer.help"}"#),
+            line(100 * ms, 2, "span.end", r#"{"id":1,"span":"job"}"#),
+            line(100 * ms, 1, "sweep.end", r#"{"duration_ns":100000000}"#),
+            format!(
+                r#"{{"kind":"metrics","t_ns":{},"counters":{{"engine.busy_ns":{},"pool.help_ns":{}}}}}"#,
+                100 * ms,
+                140 * ms,
+                60 * ms
+            ),
+        ]
+        .join("\n");
+        let report = render_stats(&TelemetryLog::parse(&text).unwrap());
+        assert_eq!(report.matches("100.0% busy").count(), 2, "{report}");
+        assert!(report.contains("pool utilization: 100.0%"), "{report}");
     }
 
     #[test]
