@@ -8,17 +8,17 @@
 //! mramsim report fig4a explore
 //! ```
 //!
-//! Any `--name value` pair maps onto a declared scenario parameter;
-//! values may be numbers (`90`), lists (`20,35,55`), or stepped ranges
-//! (`60..240:20`). In `sweep`, multi-valued parameters become grid
-//! axes and scalars become fixed overrides.
+//! Each command declares its flags in [`COMMANDS`]; in `run`, `sweep`
+//! and `campaign` other `--name value` pairs set scenario parameters:
+//! numbers (`90`), lists (`20,35,55`), or stepped ranges (`60..240:20`).
+//! In `sweep`, lists and ranges become grid axes.
 
 #![deny(unsafe_code)]
 
 use mramsim_engine::store::DiskStore;
 use mramsim_engine::{
-    parse_value, Engine, EngineError, JobEvent, ParamSet, ParamValue, Registry, Run, ServeConfig,
-    Server, SweepOptions, SweepPlan, Tier,
+    note, parse_value, Engine, EngineError, JobEvent, ParamSet, ParamValue, Registry, Run,
+    ServeConfig, Server, SweepOptions, SweepPlan, Tier,
 };
 use mramsim_telemetry as telemetry;
 use mramsim_telemetry::{report, Clock, Fanout, JsonlRecorder, MetricsRecorder, TelemetryLog};
@@ -48,19 +48,21 @@ USAGE:
     mramsim diff <run-a> <run-b>         compare two runs phase-by-phase
     mramsim help                         this text
 
-OPTIONS:
-    --<param> <value>    set a scenario parameter; value forms:
+OPTIONS (each names the commands that take it, `sweep` also meaning
+`campaign` except for --resume; anything else is an error):
+    --<param> <value>    run, sweep: set a scenario parameter; value forms:
                              90           number
                              20,35,55     list
                              60..240:20   inclusive range with step
                          in `sweep`, lists/ranges become grid axes
-    --format <md|csv|chart>   output format (default md)
-    --workers <n>             sweep worker threads (default: all cores)
-    --cache-dir <path|off>    persistent result cache directory
-                              (default: $MRAMSIM_CACHE_DIR, else
-                              ~/.cache/mramsim; `off` disables disk —
+    --format <md|csv|chart>   run, sweep: output format (default md)
+    --workers <n>             sweep, serve: worker threads (default: all cores)
+    --cache-dir <path|off>    all but list and report: persistent result
+                              cache directory (default: $MRAMSIM_CACHE_DIR,
+                              else ~/.cache/mramsim; `off` disables disk —
                               MRAMSIM_CACHE_DIR=off does too)
-    --cache-cap <n>           in-memory cache capacity in entries
+    --cache-cap <n>           run, sweep, serve: in-memory cache capacity
+                              in entries
     --limit <n>               sweep: compute at most n new points,
                               journal them, and stop (resume later)
     --resume <run>            sweep: continue a journaled run; the plan
@@ -191,13 +193,150 @@ ABLATIONS:
     mramsim sweep fig4b --pitch 60..240:20 --segments 32,256 --exact 1
 ";
 
+/// A command: its name, the most positionals it takes (it reports a
+/// missing one itself), the flags it takes, and its handler.
+type Command = (&'static str, usize, &'static str, Handler);
+type Handler = fn(&Args) -> Result<(), String>;
+
+/// Every command's grammar. Anything else is an error: see [`parse`].
+const COMMANDS: [Command; 9] = [
+    ("list", 0, "", cmd_list),
+    (
+        "run",
+        1,
+        "--format --cache-dir --cache-cap --<param>",
+        cmd_run,
+    ),
+    (
+        "sweep",
+        1,
+        "--format --workers --cache-dir --cache-cap --limit --resume --telemetry --progress --<param>",
+        cmd_sweep,
+    ),
+    // A campaign resumes through `sweep --resume <run-id>`.
+    (
+        "campaign",
+        1,
+        "--format --workers --cache-dir --cache-cap --limit --telemetry --progress --<param>",
+        cmd_campaign,
+    ),
+    (
+        "serve",
+        0,
+        "--addr --max-inflight --workers --cache-dir --cache-cap",
+        cmd_serve,
+    ),
+    ("report", usize::MAX, "", cmd_report),
+    ("stats", 1, "--critical-path --cache-dir", cmd_stats),
+    ("trace", 1, "--out --check --cache-dir", cmd_trace),
+    ("diff", 2, "--fail-above --cache-dir", cmd_diff),
+];
+
+/// Among a command's flags, lets any other `--name value` pair set a
+/// scenario parameter.
+const PARAMS: &str = "--<param>";
+
+/// The flags that take no value. Every other flag takes the next
+/// argument, whatever it looks like (`--hz_oe -50`).
+const SWITCHES: [&str; 2] = ["--check", "--critical-path"];
+
+/// A command line that passed its command's grammar.
+#[derive(Default)]
+struct Args {
+    positional: Vec<String>,
+    /// The flags given, with their checked values (empty for a switch).
+    flags: Vec<(String, String)>,
+    params: Vec<(String, ParamValue)>,
+}
+
+impl Args {
+    fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.flags.iter().find(|(f, _)| f == flag)?;
+        Some(value)
+    }
+
+    /// A count or percentage, which [`check_value`] parsed once already.
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.value(flag)?.parse().ok()
+    }
+}
+
+/// Parses a command's arguments. Anything its grammar does not declare
+/// is one error that names the command and lists its flags: an
+/// undeclared flag, a flag or parameter given twice, a flag without
+/// its value, or one positional too many.
+fn parse(&(name, positionals, flags, _): &Command, args: &[String]) -> Result<Args, String> {
+    let misuse = |problem: String| match flags {
+        "" => format!("`{name}` {problem} (it takes no flags)"),
+        _ => format!("`{name}` {problem} (flags: {})", flags.replace(' ', ", ")),
+    };
+    let takes = |list: &str, flag: &str| flag != PARAMS && list.split(' ').any(|f| f == flag);
+    let mut parsed = Args::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with('-') {
+            if parsed.positional.len() == positionals {
+                return Err(misuse(format!("got an extra argument `{arg}`")));
+            }
+            parsed.positional.push(arg.clone());
+            continue;
+        }
+        // `-o` is the short form of `trace --out`.
+        let flag = if arg == "-o" { "--out" } else { arg.as_str() };
+        // Another command's flag is never a scenario parameter.
+        let param = flag.strip_prefix("--").filter(|_| {
+            flags.contains(PARAMS) && !COMMANDS.iter().any(|command| takes(command.2, flag))
+        });
+        if param.is_none() && !takes(flags, flag) {
+            return Err(misuse(format!("does not take `{arg}`")));
+        }
+        if parsed.value(flag).is_some() || parsed.params.iter().any(|(p, _)| Some(&**p) == param) {
+            return Err(misuse(format!("got `{arg}` twice")));
+        }
+        let value = if SWITCHES.contains(&flag) {
+            ""
+        } else {
+            rest.next()
+                .ok_or_else(|| misuse(format!("needs a value after `{arg}`")))?
+        };
+        match param {
+            Some(param) => {
+                let value = parse_value(param, value).map_err(|e| e.to_string())?;
+                parsed.params.push((param.to_owned(), value));
+            }
+            None => {
+                check_value(flag, value)?;
+                parsed.flags.push((flag.to_owned(), value.to_owned()));
+            }
+        }
+    }
+    Ok(parsed)
+}
+
+/// Checks a flag's value where it enters, so a command reads back only
+/// values it can use.
+fn check_value(flag: &str, value: &str) -> Result<(), String> {
+    let count = value.parse::<usize>().ok();
+    let wanted = match flag {
+        "--format" if !matches!(value, "md" | "csv" | "chart") => "must be md, csv, or chart",
+        "--telemetry" if !matches!(value, "on" | "off") => "must be on or off",
+        "--progress" if !matches!(value, "auto" | "on" | "off") => "must be auto, on, or off",
+        "--workers" | "--cache-cap" | "--limit" if count.is_none() => "needs an integer",
+        "--max-inflight" if count.is_none_or(|n| n == 0) => "needs an integer of at least 1",
+        "--fail-above" if !value.parse().is_ok_and(|p: f64| p.is_finite() && p >= 0.0) => {
+            "needs a non-negative percentage"
+        }
+        _ => return Ok(()),
+    };
+    Err(format!("`{flag}` {wanted}, got `{value}`"))
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("run `mramsim help` for usage");
+            note!("error: {message}\nrun `mramsim help` for usage\n");
             ExitCode::FAILURE
         }
     }
@@ -219,110 +358,13 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             emit(USAGE);
             Ok(())
         }
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("campaign") => cmd_campaign(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("stats") => cmd_stats(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some(other) => Err(format!("unknown command `{other}`")),
-    }
-}
-
-/// Parsed `--name value` options, with the engine/runtime flags split
-/// off from scenario parameters.
-struct Options {
-    scenario: Option<String>,
-    params: Vec<(String, ParamValue)>,
-    format: String,
-    workers: Option<usize>,
-    /// Raw `--cache-dir` value (`off` disables the disk tier).
-    cache_dir: Option<String>,
-    cache_cap: Option<usize>,
-    limit: Option<usize>,
-    resume: Option<String>,
-    /// Whether sweeps record telemetry (default on).
-    telemetry: bool,
-    /// Live progress line: `auto` (TTY only), `on`, or `off`.
-    progress: String,
-}
-
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let scenario = args.first().filter(|a| !a.starts_with("--")).cloned();
-    let mut options = Options {
-        scenario,
-        params: Vec::new(),
-        format: "md".to_owned(),
-        workers: None,
-        cache_dir: None,
-        cache_cap: None,
-        limit: None,
-        resume: None,
-        telemetry: true,
-        progress: "auto".to_owned(),
-    };
-    let mut rest = &args[usize::from(options.scenario.is_some())..];
-    let integer = |name: &str, value: &str| {
-        value
-            .parse::<usize>()
-            .map_err(|_| format!("`--{name}` needs an integer, got `{value}`"))
-    };
-    while let Some(flag) = rest.first() {
-        let name = flag
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected `--option`, got `{flag}`"))?;
-        let value = rest
-            .get(1)
-            .ok_or_else(|| format!("`--{name}` needs a value"))?;
-        match name {
-            "format" => {
-                if !matches!(value.as_str(), "md" | "csv" | "chart") {
-                    return Err(format!(
-                        "`--format` must be md, csv, or chart, got `{value}`"
-                    ));
-                }
-                value.clone_into(&mut options.format);
-            }
-            "workers" => options.workers = Some(integer(name, value)?),
-            "cache-dir" => options.cache_dir = Some(value.clone()),
-            "cache-cap" => options.cache_cap = Some(integer(name, value)?),
-            "limit" => options.limit = Some(integer(name, value)?),
-            "resume" => options.resume = Some(value.clone()),
-            "telemetry" => {
-                options.telemetry = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("`--telemetry` must be on or off, got `{other}`")),
-                };
-            }
-            "progress" => {
-                if !matches!(value.as_str(), "auto" | "on" | "off") {
-                    return Err(format!(
-                        "`--progress` must be auto, on, or off, got `{value}`"
-                    ));
-                }
-                value.clone_into(&mut options.progress);
-            }
-            _ => {
-                let parsed = parse_value(name, value).map_err(|e| e.to_string())?;
-                options.params.push((name.to_owned(), parsed));
-            }
+        Some(name) => {
+            let command = COMMANDS
+                .iter()
+                .find(|command| command.0 == name)
+                .ok_or_else(|| format!("unknown command `{name}`"))?;
+            (command.3)(&parse(command, &args[1..])?)
         }
-        rest = &rest[2..];
-    }
-    Ok(options)
-}
-
-/// The default disk-cache location for commands that did not pass
-/// `--cache-dir`. `MRAMSIM_CACHE_DIR=off` disables persistence
-/// globally — the only opt-out `report` has, since it takes no flags.
-fn default_cache_dir() -> Option<PathBuf> {
-    match std::env::var("MRAMSIM_CACHE_DIR") {
-        Ok(v) if v == "off" => None,
-        _ => Some(DiskStore::default_dir()),
     }
 }
 
@@ -332,42 +374,42 @@ fn resolve_cache_dir(flag: Option<&str>) -> Option<PathBuf> {
     match flag {
         Some("off") => None,
         Some(dir) => Some(PathBuf::from(dir)),
-        None => default_cache_dir(),
+        None => DiskStore::default_dir(),
     }
 }
 
-fn base_engine(options: &Options) -> Engine {
-    let mut engine = Engine::standard();
-    if let Some(n) = options.workers {
-        engine = engine.with_workers(n);
-    }
-    if let Some(cap) = options.cache_cap {
-        engine = engine.with_cache_capacity(cap);
-    }
-    engine
-}
-
-/// The engine `options` ask for, with the cache directory it uses
-/// (`None` when the disk tier is off).
-fn build_engine(options: &Options) -> Result<(Engine, Option<PathBuf>), String> {
-    let Some(dir) = resolve_cache_dir(options.cache_dir.as_deref()) else {
-        return Ok((base_engine(options), None));
+/// The engine `args` ask for, with the cache directory it uses (`None`
+/// when the disk tier is off).
+fn build_engine(args: &Args) -> Result<(Engine, Option<PathBuf>), String> {
+    let base = || {
+        let mut engine = Engine::standard();
+        if let Some(n) = args.number("--workers") {
+            engine = engine.with_workers(n);
+        }
+        if let Some(cap) = args.number("--cache-cap") {
+            engine = engine.with_cache_capacity(cap);
+        }
+        engine
     };
-    match base_engine(options).with_disk_cache(&dir) {
+    let flag = args.value("--cache-dir");
+    let Some(dir) = resolve_cache_dir(flag) else {
+        return Ok((base(), None));
+    };
+    match base().with_disk_cache(&dir) {
         Ok(engine) => Ok((engine, Some(dir))),
         // An unusable *default* directory (read-only $HOME, sandbox)
         // degrades to memory-only with a warning — persistence is an
         // optimisation there. An explicitly requested directory that
         // cannot be used is an error the user needs to hear about.
-        Err(e) if options.cache_dir.is_none() => {
-            eprintln!("warning: persistent cache disabled: {e}");
-            Ok((base_engine(options), Some(dir)))
+        Err(e) if flag.is_none() => {
+            note!("warning: persistent cache disabled: {e}\n");
+            Ok((base(), Some(dir)))
         }
         Err(e) => Err(e.to_string()),
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+fn cmd_list(_: &Args) -> Result<(), String> {
     let registry = Registry::standard();
     let mut out = format!("{} registered scenario(s):\n\n", registry.len());
     for scenario in registry.iter() {
@@ -386,33 +428,28 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), String> {
-    let options = parse_options(args)?;
-    if options.resume.is_some() || options.limit.is_some() {
-        return Err("`--resume`/`--limit` only apply to `sweep`".into());
-    }
-    let scenario = options
-        .scenario
-        .clone()
-        .ok_or("`run` needs a scenario id")?;
-    let (engine, _) = build_engine(&options)?;
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let [scenario] = args.positional.as_slice() else {
+        return Err("`run` needs a scenario id".into());
+    };
+    let (engine, _) = build_engine(args)?;
     let mut overrides = ParamSet::new();
-    for (name, value) in options.params {
-        overrides.insert(&name, value);
+    for (name, value) in &args.params {
+        overrides.insert(name, value.clone());
     }
     let outcome = engine
-        .run(&scenario, &overrides)
+        .run(scenario, &overrides)
         .map_err(|e: EngineError| e.to_string())?;
-    match options.format.as_str() {
-        "csv" => emit(&outcome.output.to_csv()),
-        "chart" => match &outcome.output.chart {
+    match args.value("--format") {
+        Some("csv") => emit(&outcome.output.to_csv()),
+        Some("chart") => match &outcome.output.chart {
             Some(chart) => emit(chart),
             None => emit(&outcome.output.to_markdown()),
         },
         _ => emit(&outcome.output.to_markdown()),
     }
-    eprintln!(
-        "ran `{scenario}` in {:.1?}{}",
+    note!(
+        "ran `{scenario}` in {:.1?}{}\n",
         outcome.duration,
         match outcome.tier {
             Tier::Disk => " (disk-cache hit)",
@@ -479,7 +516,7 @@ impl Progress {
         let hit_pct = 100.0 * self.hits.load(Ordering::Relaxed) as f64 / done as f64;
         let busy = self.busy_ns.load(Ordering::Relaxed) as f64 / 1e9;
         let util = 100.0 * busy / (elapsed * self.workers as f64);
-        eprint!(
+        note!(
             "\r\x1b[K  {done}/{} jobs · {rate:.1} jobs/s · ETA {} · cache {hit_pct:.0}% · pool {util:.0}%",
             self.total,
             report::format_secs(eta),
@@ -488,7 +525,7 @@ impl Progress {
 
     /// Erases the progress line so the summary starts on a clean line.
     fn clear(&self) {
-        eprint!("\r\x1b[K");
+        note!("\r\x1b[K");
     }
 }
 
@@ -540,92 +577,15 @@ fn resolve_run_log(run: &str, cache_dir: Option<&str>) -> Result<PathBuf, String
     }
 }
 
-/// Hand-rolled flag parsing for the log-analysis commands: they take
-/// positional run ids and valueless flags (`--check`,
-/// `--critical-path`), which the `--name value` grammar of
-/// [`parse_options`] cannot express.
-struct LogArgs {
-    positional: Vec<String>,
-    cache_dir: Option<String>,
-    out: Option<PathBuf>,
-    check: bool,
-    critical_path: bool,
-    fail_above: Option<f64>,
-}
-
-fn parse_log_args(command: &str, args: &[String], allowed: &[&str]) -> Result<LogArgs, String> {
-    let mut parsed = LogArgs {
-        positional: Vec::new(),
-        cache_dir: None,
-        out: None,
-        check: false,
-        critical_path: false,
-        fail_above: None,
-    };
-    let mut rest = args;
-    while let Some(arg) = rest.first() {
-        let flag = arg.as_str();
-        if flag.starts_with('-') && !allowed.contains(&flag) {
-            return Err(format!(
-                "`{command}` does not take `{flag}` (flags: {})",
-                allowed.join(", ")
-            ));
-        }
-        let value = |name: &str| {
-            rest.get(1)
-                .cloned()
-                .ok_or_else(|| format!("`{name}` needs a value"))
-        };
-        let consumed = match flag {
-            "--check" => {
-                parsed.check = true;
-                1
-            }
-            "--critical-path" => {
-                parsed.critical_path = true;
-                1
-            }
-            "--cache-dir" => {
-                parsed.cache_dir = Some(value("--cache-dir")?);
-                2
-            }
-            "-o" | "--out" => {
-                parsed.out = Some(PathBuf::from(value(flag)?));
-                2
-            }
-            "--fail-above" => {
-                let raw = value("--fail-above")?;
-                let pct: f64 = raw
-                    .parse()
-                    .map_err(|_| format!("`--fail-above` needs a percentage, got `{raw}`"))?;
-                if !pct.is_finite() || pct < 0.0 {
-                    return Err(format!(
-                        "`--fail-above` needs a non-negative percentage, got `{raw}`"
-                    ));
-                }
-                parsed.fail_above = Some(pct);
-                2
-            }
-            positional => {
-                parsed.positional.push(positional.to_owned());
-                1
-            }
-        };
-        rest = &rest[consumed..];
-    }
-    Ok(parsed)
-}
-
-fn cmd_stats(args: &[String]) -> Result<(), String> {
-    let parsed = parse_log_args("stats", args, &["--critical-path", "--cache-dir"])?;
-    let [run] = parsed.positional.as_slice() else {
+fn cmd_stats(args: &Args) -> Result<(), String> {
+    let [run] = args.positional.as_slice() else {
         return Err(
             "`stats` needs one run id (printed by `sweep`) or a path to a .telemetry file".into(),
         );
     };
-    let path = resolve_run_log(run, parsed.cache_dir.as_deref())?;
+    let path = resolve_run_log(run, args.value("--cache-dir"))?;
     let log = TelemetryLog::load(path)?;
-    if parsed.critical_path {
+    if args.value("--critical-path").is_some() {
         emit(&report::render_critical_path(&log));
     } else {
         emit(&report::render_stats(&log));
@@ -633,32 +593,29 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let parsed = parse_log_args("trace", args, &["-o", "--out", "--check", "--cache-dir"])?;
-    let [run] = parsed.positional.as_slice() else {
+fn cmd_trace(args: &Args) -> Result<(), String> {
+    let [run] = args.positional.as_slice() else {
         return Err("`trace` needs one run id or a path to a .telemetry file".into());
     };
-    let path = resolve_run_log(run, parsed.cache_dir.as_deref())?;
+    let path = resolve_run_log(run, args.value("--cache-dir"))?;
     let log = TelemetryLog::load(path)?;
     let tree = log.span_tree();
-    if parsed.check {
+    if args.value("--check").is_some() {
         tree.check()
             .map_err(|problem| format!("span tree check failed: {problem}"))?;
-        eprintln!(
-            "span tree ok: {} span(s), {} root(s), {} labelled lane(s)",
+        note!(
+            "span tree ok: {} span(s), {} root(s), {} labelled lane(s)\n",
             tree.spans.len(),
             tree.roots.len(),
             tree.lane_labels.len(),
         );
     }
     let json = telemetry::trace::chrome_trace(&log);
-    match &parsed.out {
+    match args.value("--out") {
         Some(out) => {
-            std::fs::write(out, &json)
-                .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-            eprintln!(
-                "wrote {} ({} span(s)) — load in ui.perfetto.dev or chrome://tracing",
-                out.display(),
+            std::fs::write(out, &json).map_err(|e| format!("cannot write {out}: {e}"))?;
+            note!(
+                "wrote {out} ({} span(s)) — load in ui.perfetto.dev or chrome://tracing\n",
                 tree.spans.len(),
             );
         }
@@ -667,16 +624,16 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_diff(args: &[String]) -> Result<(), String> {
-    let parsed = parse_log_args("diff", args, &["--fail-above", "--cache-dir"])?;
-    let [run_a, run_b] = parsed.positional.as_slice() else {
+fn cmd_diff(args: &Args) -> Result<(), String> {
+    let [run_a, run_b] = args.positional.as_slice() else {
         return Err("`diff` needs two run ids or .telemetry paths: `mramsim diff <a> <b>`".into());
     };
-    let log_a = TelemetryLog::load(resolve_run_log(run_a, parsed.cache_dir.as_deref())?)?;
-    let log_b = TelemetryLog::load(resolve_run_log(run_b, parsed.cache_dir.as_deref())?)?;
+    let cache_dir = args.value("--cache-dir");
+    let log_a = TelemetryLog::load(resolve_run_log(run_a, cache_dir)?)?;
+    let log_b = TelemetryLog::load(resolve_run_log(run_b, cache_dir)?)?;
     let diff = telemetry::diff::RunDiff::compare(&log_a, &log_b);
     emit(&diff.render(run_a, run_b));
-    if let Some(threshold) = parsed.fail_above {
+    if let Some(threshold) = args.number::<f64>("--fail-above") {
         let worst = diff.max_gated_regression_pct();
         if worst > threshold {
             return Err(format!(
@@ -684,32 +641,31 @@ fn cmd_diff(args: &[String]) -> Result<(), String> {
                  exceeds --fail-above {threshold}%"
             ));
         }
-        eprintln!("regression gate ok: max gated regression {worst:.1}% (limit {threshold}%)");
+        note!("regression gate ok: max gated regression {worst:.1}% (limit {threshold}%)\n");
     }
     Ok(())
 }
 
 /// Folds `--name value` pairs onto a plan: multi-valued parameters
 /// become grid axes, scalars fixed overrides.
-fn plan_with_params(mut plan: SweepPlan, params: Vec<(String, ParamValue)>) -> SweepPlan {
+fn plan_with_params(mut plan: SweepPlan, params: &[(String, ParamValue)]) -> SweepPlan {
     for (name, value) in params {
         plan = match value {
-            ParamValue::List(values) if values.len() > 1 => plan.axis(&name, values),
+            ParamValue::List(values) if values.len() > 1 => plan.axis(name, values.clone()),
             // A degenerate one-point range/list fixes a scalar; list
             // parameters coerce a Number back via `ParamSet::list`.
-            ParamValue::List(values) if values.len() == 1 => plan.fix(&name, values[0]),
-            other => plan.fix(&name, other),
+            ParamValue::List(values) if values.len() == 1 => plan.fix(name, values[0]),
+            other => plan.fix(name, other.clone()),
         };
     }
     plan
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let options = parse_options(args)?;
-    let (engine, cache_dir) = build_engine(&options)?;
+fn cmd_sweep(args: &Args) -> Result<(), String> {
+    let (engine, cache_dir) = build_engine(args)?;
 
-    let run = if let Some(run_id) = &options.resume {
-        if options.scenario.is_some() || !options.params.is_empty() {
+    let run = if let Some(run_id) = args.value("--resume") {
+        if !args.positional.is_empty() || !args.params.is_empty() {
             return Err(
                 "`--resume` reloads the journaled plan; do not pass a scenario or parameters"
                     .into(),
@@ -724,18 +680,17 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             );
         };
         let run = Run::resume(&engine, dir, run_id).map_err(|e| e.to_string())?;
-        eprintln!(
-            "resuming `{run_id}`: {}/{} point(s) already journaled",
+        note!(
+            "resuming `{run_id}`: {}/{} point(s) already journaled\n",
             run.journaled(),
             run.plan().len(),
         );
         run
     } else {
-        let scenario = options
-            .scenario
-            .clone()
-            .ok_or("`sweep` needs a scenario id (or `--resume <run>`)")?;
-        let plan = plan_with_params(SweepPlan::new(&scenario), options.params.clone());
+        let [scenario] = args.positional.as_slice() else {
+            return Err("`sweep` needs a scenario id (or `--resume <run>`)".into());
+        };
+        let plan = plan_with_params(SweepPlan::new(scenario), &args.params);
         if plan.axes().is_empty() {
             return Err("`sweep` needs at least one multi-valued axis \
                         (e.g. `--pitch 60..240:20`)"
@@ -744,32 +699,28 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         let plan = engine.validate(&plan).map_err(|e| e.to_string())?;
         Run::open(&engine, plan, cache_dir.as_deref()).map_err(|e| e.to_string())?
     };
-    execute_sweep(&options, &engine, cache_dir.as_deref(), run)
+    execute_sweep(args, &engine, cache_dir.as_deref(), run)
 }
 
 /// `mramsim campaign`: a sweep whose `--shard` axis is generated to
 /// cover the scenario's whole grid, one journaled point per shard —
 /// megabit campaigns inherit `--limit`, `--resume`, the disk cache,
 /// and telemetry from the sweep machinery for free.
-fn cmd_campaign(args: &[String]) -> Result<(), String> {
-    let options = parse_options(args)?;
-    if options.resume.is_some() {
-        return Err("resume a campaign with `mramsim sweep --resume <run-id>`".into());
-    }
-    if options.params.iter().any(|(name, _)| name == "shard") {
+fn cmd_campaign(args: &Args) -> Result<(), String> {
+    if args.params.iter().any(|(name, _)| name == "shard") {
         return Err(
             "`campaign` generates the `--shard` axis itself; use `sweep` for hand-picked shards"
                 .into(),
         );
     }
-    let scenario = options
-        .scenario
-        .clone()
-        .unwrap_or_else(|| "array-wer-shard".to_owned());
-    let (engine, cache_dir) = build_engine(&options)?;
+    let scenario = args
+        .positional
+        .first()
+        .map_or("array-wer-shard", String::as_str);
+    let (engine, cache_dir) = build_engine(args)?;
     let specs = engine
         .registry()
-        .get(&scenario)
+        .get(scenario)
         .map_err(|e| e.to_string())?
         .params();
     if !specs.iter().any(|s| s.name == "shard") {
@@ -780,7 +731,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     // The shard count comes from the grid geometry; both knobs must be
     // single values — a list would change the axis length per point.
     let numeric = |name: &str| -> Result<f64, String> {
-        match options.params.iter().find(|(n, _)| n == name) {
+        match args.params.iter().find(|(n, _)| n == name) {
             Some((_, ParamValue::Number(v))) => Ok(*v),
             Some(_) => Err(format!(
                 "`campaign` needs a single `--{name}` value (a list would change the shard count)"
@@ -803,28 +754,28 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     // per shard from its fingerprint, and the same window would get a
     // different estimate in every shard. Unseeded, a campaign runs on
     // the scenario's default seed, as `run --shard k` does.
-    let mut params = options.params.clone();
+    let mut params = args.params.clone();
     if !params.iter().any(|(name, _)| name == "seed") {
         if let Some(spec) = specs.iter().find(|s| s.name == "seed") {
             params.push(("seed".to_owned(), spec.default.clone()));
         }
     }
-    let plan = plan_with_params(SweepPlan::new(&scenario), params).axis(
+    let plan = plan_with_params(SweepPlan::new(scenario), &params).axis(
         "shard",
         (0..n_shards).map(|shard| shard as f64).collect::<Vec<_>>(),
     );
     let plan = engine.validate(&plan).map_err(|e| e.to_string())?;
     let run = Run::open(&engine, plan, cache_dir.as_deref()).map_err(|e| e.to_string())?;
-    eprintln!(
-        "campaign `{scenario}`: {n_shards} shard(s) of {shard_rows} row(s) covering {rows} grid rows"
+    note!(
+        "campaign `{scenario}`: {n_shards} shard(s) of {shard_rows} row(s) covering {rows} grid rows\n"
     );
-    execute_sweep(&options, &engine, cache_dir.as_deref(), run)
+    execute_sweep(args, &engine, cache_dir.as_deref(), run)
 }
 
 /// Executes an opened run: telemetry install, progress line, the sweep
 /// itself, output rendering, and the summary/journal/telemetry trailer.
 fn execute_sweep(
-    options: &Options,
+    args: &Args,
     engine: &Engine,
     cache_dir: Option<&Path>,
     run: Run<'_>,
@@ -832,7 +783,8 @@ fn execute_sweep(
     // `--limit` exists to slice a resumable campaign; without a store
     // the computed slice would die with the process and the "resume to
     // continue" advice would be unfollowable.
-    if options.limit.is_some() && engine.store().is_none() {
+    let limit = args.number("--limit");
+    if limit.is_some() && engine.store().is_none() {
         return Err(
             "`--limit` slices a resumable campaign, which needs a usable disk cache \
              (do not pass `--cache-dir off`)"
@@ -844,13 +796,14 @@ fn execute_sweep(
     // Telemetry: metrics aggregate in-process; events stream to the
     // run's JSONL log when a cache directory exists to hold it. All of
     // it is write-only with respect to results.
+    let telemetry = args.value("--telemetry") != Some("off");
     let metrics = Arc::new(MetricsRecorder::new());
     let mut jsonl: Option<Arc<JsonlRecorder>> = None;
-    let telemetry_guard = if options.telemetry {
+    let telemetry_guard = if telemetry {
         if let Some(dir) = &cache_dir {
             match JsonlRecorder::create(JsonlRecorder::path_for(dir, &run_id), Clock::system()) {
                 Ok(sink) => jsonl = Some(Arc::new(sink)),
-                Err(e) => eprintln!("warning: telemetry log disabled: {e}"),
+                Err(e) => note!("warning: telemetry log disabled: {e}\n"),
             }
         }
         let mut sinks: Vec<Arc<dyn telemetry::Recorder>> = vec![metrics.clone()];
@@ -861,9 +814,9 @@ fn execute_sweep(
     } else {
         None
     };
-    let show_progress = match options.progress.as_str() {
-        "on" => true,
-        "off" => false,
+    let show_progress = match args.value("--progress") {
+        Some("on") => true,
+        Some("off") => false,
         _ => std::io::stderr().is_terminal(),
     };
     let progress = Progress::new(run.plan().len(), engine.workers());
@@ -873,7 +826,7 @@ fn execute_sweep(
         }
     };
     let outcome = run.execute(&SweepOptions {
-        limit: options.limit,
+        limit,
         on_done: Some(&on_job),
         cancel: None,
     });
@@ -883,19 +836,20 @@ fn execute_sweep(
     // Process-wide stray-field kernel table traffic, gauged into the
     // sealed snapshot so `mramsim stats <run-id>` can render it.
     let kernel = mramsim_array::kernel_cache_stats();
-    if options.telemetry && kernel.hits + kernel.misses > 0 {
+    if telemetry && kernel.hits + kernel.misses > 0 {
         telemetry::gauge_set("kernel_cache.hits", kernel.hits as f64);
         telemetry::gauge_set("kernel_cache.misses", kernel.misses as f64);
         telemetry::gauge_set("kernel_cache.entries", kernel.entries as f64);
     }
     // Seal the log: one final metrics snapshot, then uninstall.
+    let snapshot = metrics.snapshot();
     if let Some(sink) = &jsonl {
-        sink.write_snapshot(&metrics.snapshot());
+        sink.write_snapshot(&snapshot);
     }
     drop(telemetry_guard);
     let summary = outcome.summary_table();
-    match options.format.as_str() {
-        "csv" => emit(&summary.to_csv()),
+    match args.value("--format") {
+        Some("csv") => emit(&summary.to_csv()),
         _ => emit(&summary.to_markdown()),
     }
     let skipped = if outcome.skipped > 0 {
@@ -903,21 +857,9 @@ fn execute_sweep(
     } else {
         String::new()
     };
-    // Warm-hit and eviction counts come from the telemetry metrics
-    // when they were recorded (the counters see exactly this sweep's
-    // cache traffic); without telemetry they fall back to the sweep
-    // outcome and the engine-lifetime cache stats.
-    let snapshot = options.telemetry.then(|| metrics.snapshot());
-    let (warm_hits, evictions) = match &snapshot {
-        Some(snapshot) => (
-            snapshot.counter("cache.memory_hits"),
-            snapshot.counter("cache.evictions"),
-        ),
-        None => (
-            outcome.cache_hits.saturating_sub(outcome.disk_hits) as u64,
-            engine.cache_stats().evictions,
-        ),
-    };
+    // The process has one engine, so its lifetime evictions are this
+    // sweep's.
+    let evictions = engine.cache_stats().evictions;
     let pressure = if evictions > 0 {
         format!(", {evictions} memory eviction(s)")
     } else {
@@ -937,34 +879,37 @@ fn execute_sweep(
     };
     // Window-class rows the computed points produced, and how many of
     // them the campaign memo served without running an ensemble (from
-    // the telemetry counters; quiet for scenarios without classes).
-    let memo = match &snapshot {
-        Some(snapshot) if snapshot.counter("campaign.classes") > 0 => format!(
+    // the telemetry counters; quiet without telemetry and for
+    // scenarios without classes).
+    let memo = if snapshot.counter("campaign.classes") > 0 {
+        format!(
             ", class memo {}/{} hit(s)",
             snapshot.counter("campaign.memo_hits"),
             snapshot.counter("campaign.classes"),
-        ),
-        _ => String::new(),
+        )
+    } else {
+        String::new()
     };
-    eprintln!(
-        "swept `{}`: {} point(s) on {} worker(s) in {:.1?} — {} cache hit(s) ({warm_hits} warm, {} from disk), {} error(s){skipped}{pressure}{kernels}{memo}",
+    note!(
+        "swept `{}`: {} point(s) on {} worker(s) in {:.1?} — {} cache hit(s) ({} warm, {} from disk), {} error(s){skipped}{pressure}{kernels}{memo}\n",
         outcome.scenario,
         outcome.jobs.len(),
         engine.workers(),
         outcome.duration,
         outcome.cache_hits,
+        outcome.cache_hits.saturating_sub(outcome.disk_hits),
         outcome.disk_hits,
         outcome.errors,
     );
     if let Some(journal) = &journal {
-        eprintln!(
-            "run `{run_id}` journaled at {} — continue with `mramsim sweep --resume {run_id}`",
+        note!(
+            "run `{run_id}` journaled at {} — continue with `mramsim sweep --resume {run_id}`\n",
             journal.display()
         );
     }
     if let Some(sink) = &jsonl {
-        eprintln!(
-            "telemetry at {} — inspect with `mramsim stats {run_id}`",
+        note!(
+            "telemetry at {} — inspect with `mramsim stats {run_id}`\n",
             sink.path().display()
         );
     }
@@ -973,73 +918,209 @@ fn execute_sweep(
 
 /// `mramsim serve`: bind the HTTP service and block until a graceful
 /// `POST /shutdown` drain completes.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut addr = "127.0.0.1:7878".to_owned();
-    let mut max_inflight = 4usize;
-    let mut rest: Vec<String> = Vec::new();
-    let mut remaining = args.iter();
-    while let Some(flag) = remaining.next() {
-        match flag.as_str() {
-            "--addr" => {
-                addr = remaining
-                    .next()
-                    .ok_or("`--addr` needs a host:port value")?
-                    .clone();
-            }
-            "--max-inflight" => {
-                let value = remaining.next().ok_or("`--max-inflight` needs a value")?;
-                max_inflight = value
-                    .parse()
-                    .map_err(|_| format!("`--max-inflight` needs an integer, got `{value}`"))?;
-                if max_inflight == 0 {
-                    return Err("`--max-inflight` must be at least 1".to_owned());
-                }
-            }
-            _ => rest.push(flag.clone()),
-        }
-    }
-    let options = parse_options(&rest)?;
-    if options.scenario.is_some() || !options.params.is_empty() {
-        return Err(
-            "`serve` takes no scenario or parameters; clients submit plans over HTTP".to_owned(),
-        );
-    }
-    let (engine, cache_dir) = build_engine(&options)?;
-    let engine = Arc::new(engine);
+fn cmd_serve(args: &Args) -> Result<(), String> {
+    let (engine, cache_dir) = build_engine(args)?;
+    let defaults = ServeConfig::default();
     let config = ServeConfig {
-        addr,
-        max_inflight,
+        addr: args.value("--addr").map_or(defaults.addr, str::to_owned),
+        max_inflight: args
+            .number("--max-inflight")
+            .unwrap_or(defaults.max_inflight),
         cache_dir,
     };
-    let server = Server::bind(engine, &config).map_err(|e| e.to_string())?;
+    let server = Server::bind(Arc::new(engine), &config).map_err(|e| e.to_string())?;
     // Scripts (and the CI smoke test) bind port 0 and read the real
     // address from this line, so it must land before the first request.
     emit(&format!("listening on http://{}\n", server.local_addr()));
     if std::io::Write::flush(&mut std::io::stdout()).is_err() {
         return Ok(());
     }
-    eprintln!(
+    note!(
         "POST /runs | POST /sweeps | GET /runs/<job> | GET /results/<key> | \
-         GET /healthz | GET /metrics | POST /shutdown"
+         GET /healthz | GET /metrics | POST /shutdown\n"
     );
     server.run();
-    eprintln!("drained; all journals flushed");
+    note!("drained; all journals flushed\n");
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        return Err(format!("`report` takes scenario ids only, got `{flag}`"));
-    }
+fn cmd_report(args: &Args) -> Result<(), String> {
     // Reports also read and feed the persistent cache (falling back
     // to memory-only, with a warning, when the default directory is
-    // unusable — the same degradation run/sweep announce). An empty
-    // argument list parses to the default options.
-    let (engine, _) = build_engine(&parse_options(&[])?)?;
-    let ids: Vec<&str> = args.iter().map(String::as_str).collect();
+    // unusable — the same degradation run/sweep announce).
+    let (engine, _) = build_engine(args)?;
+    let ids: Vec<&str> = args.positional.iter().map(String::as_str).collect();
     for id in &ids {
         engine.registry().get(id).map_err(|e| e.to_string())?;
     }
     emit(&engine.report(&ids));
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|command| command.0 == name).unwrap()
+    }
+
+    /// `line` parsed by its first word's grammar.
+    fn parse_line(line: &str) -> Result<Args, String> {
+        let args = words(line);
+        parse(command(&args[0]), &args[1..])
+    }
+
+    /// A value every flag that takes one accepts.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "--format" => "csv",
+            "--telemetry" => "off",
+            "--progress" => "on",
+            "--workers" | "--cache-cap" | "--limit" | "--max-inflight" | "--fail-above" => "2",
+            _ => "x",
+        }
+    }
+
+    /// `flag` with its sample value, if it takes one.
+    fn given(flag: &str) -> String {
+        if SWITCHES.contains(&flag) {
+            flag.to_owned()
+        } else {
+            format!("{flag} {}", sample(flag))
+        }
+    }
+
+    fn declared(command: &Command) -> impl Iterator<Item = &'static str> {
+        command.2.split_whitespace().filter(|f| *f != PARAMS)
+    }
+
+    #[test]
+    fn every_command_parses_each_declared_form() {
+        for command @ (name, positionals, flags, _) in &COMMANDS {
+            let ids: Vec<String> = (0..(*positionals).min(3))
+                .map(|i| format!("id{i}"))
+                .collect();
+            let mut options: Vec<String> = declared(command).map(given).collect();
+            if flags.contains(PARAMS) {
+                options.push("--pitch 60..90:10 --hz_oe -50".to_owned());
+            }
+            // Positionals may stand before or after the flags.
+            for line in [
+                format!("{name} {} {}", ids.join(" "), options.join(" ")),
+                format!("{name} {} {}", options.join(" "), ids.join(" ")),
+            ] {
+                let args = parse_line(&line).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+                assert_eq!(args.positional, ids, "{line}");
+                for flag in declared(command) {
+                    let expected = if SWITCHES.contains(&flag) {
+                        ""
+                    } else {
+                        sample(flag)
+                    };
+                    assert_eq!(args.value(flag), Some(expected), "{line}");
+                }
+                if flags.contains(PARAMS) {
+                    let names: Vec<&str> = args.params.iter().map(|(n, _)| n.as_str()).collect();
+                    assert_eq!(names, ["pitch", "hz_oe"], "{line}");
+                    assert_eq!(args.params[1].1, ParamValue::Number(-50.0), "{line}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_command_rejects_what_it_does_not_declare() {
+        let every_flag: Vec<&str> = COMMANDS.iter().flat_map(declared).collect();
+        for command @ (name, positionals, flags, _) in &COMMANDS {
+            let rejected = |line: String, flag: &str| {
+                let err = parse_line(&line)
+                    .err()
+                    .unwrap_or_else(|| panic!("`{line}` parsed"));
+                assert!(err.starts_with(&format!("`{name}` ")), "`{line}`: {err}");
+                assert!(err.contains(flag), "`{line}`: {err}");
+            };
+            // Another command's flag, never a scenario parameter here.
+            for flag in every_flag
+                .iter()
+                .filter(|f| !command.2.split(' ').any(|g| g == **f))
+            {
+                rejected(format!("{name} {}", given(flag)), flag);
+            }
+            if !flags.contains(PARAMS) {
+                rejected(format!("{name} --pitch 90"), "--pitch");
+            }
+            for flag in declared(command) {
+                rejected(format!("{name} {} {}", given(flag), given(flag)), flag);
+                if !SWITCHES.contains(&flag) {
+                    rejected(format!("{name} {flag}"), flag);
+                }
+            }
+            if flags.contains(PARAMS) {
+                rejected(format!("{name} --pitch 90 --pitch 120"), "--pitch");
+                rejected(format!("{name} --pitch"), "--pitch");
+            }
+            if *positionals < usize::MAX {
+                let ids: Vec<String> = (0..=*positionals).map(|i| format!("id{i}")).collect();
+                rejected(format!("{name} {}", ids.join(" ")), &ids[*positionals]);
+            }
+        }
+        // `-o` is `--out`: giving both is giving one flag twice.
+        let args = parse_line("trace r -o t.json").unwrap();
+        assert_eq!(args.value("--out"), Some("t.json"));
+        assert!(parse_line("trace r -o a --out b").is_err_and(|e| e.contains("got `--out` twice")));
+    }
+
+    #[test]
+    fn typed_values_are_checked_where_they_enter() {
+        for (line, message) in [
+            (
+                "run fig4a --format bogus",
+                "`--format` must be md, csv, or chart, got `bogus`",
+            ),
+            (
+                "sweep --telemetry maybe",
+                "`--telemetry` must be on or off, got `maybe`",
+            ),
+            (
+                "sweep --progress x",
+                "`--progress` must be auto, on, or off, got `x`",
+            ),
+            (
+                "sweep --workers two",
+                "`--workers` needs an integer, got `two`",
+            ),
+            (
+                "campaign --limit -1",
+                "`--limit` needs an integer, got `-1`",
+            ),
+            (
+                "serve --max-inflight 0",
+                "`--max-inflight` needs an integer of at least 1",
+            ),
+            (
+                "diff a b --fail-above -1",
+                "`--fail-above` needs a non-negative percentage",
+            ),
+            (
+                "diff a b --fail-above NaN",
+                "`--fail-above` needs a non-negative percentage",
+            ),
+        ] {
+            assert!(
+                parse_line(line).is_err_and(|e| e.starts_with(message)),
+                "`{line}`: {:?}",
+                parse_line(line).err()
+            );
+        }
+        let args = parse_line("serve --max-inflight 3 --workers 2 --addr 127.0.0.1:0").unwrap();
+        assert_eq!(args.number::<usize>("--max-inflight"), Some(3));
+        assert_eq!(args.value("--addr"), Some("127.0.0.1:0"));
+        let args = parse_line("diff a b --fail-above 12.5").unwrap();
+        assert_eq!(args.number::<f64>("--fail-above"), Some(12.5));
+    }
 }

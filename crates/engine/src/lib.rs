@@ -85,6 +85,18 @@ pub use serve::{ServeConfig, Server};
 pub use store::{DiskStats, DiskStore};
 pub use sweep::{SweepPlan, ValidPlan};
 
+/// `eprint!` that drops a failed write instead of panicking when
+/// stderr's reader has gone away (`mramsim run fig4a 2>&1 >/dev/null |
+/// true`): a lost diagnostic must not crash a command that succeeded.
+/// Every diagnostic of the engine and the `mramsim` CLI goes through it.
+#[macro_export]
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        use ::std::io::Write as _;
+        let _ = ::std::write!(::std::io::stderr(), $($arg)*);
+    }};
+}
+
 /// The engine's worker pool, shared with `mramsim-array`'s sweeps.
 ///
 /// The implementation lives in `mramsim_numerics::pool` (the lowest

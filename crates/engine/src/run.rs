@@ -110,7 +110,7 @@ impl<'e> Run<'e> {
         };
         let outcome = self.engine.sweep_valid(self.plan, &options);
         if let Some(poisoned) = journal.as_ref().and_then(SweepJournal::poison_error) {
-            eprintln!("warning: {poisoned}");
+            crate::note!("warning: {poisoned}\n");
         }
         outcome
     }

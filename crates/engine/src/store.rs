@@ -126,22 +126,20 @@ impl DiskStore {
         })
     }
 
-    /// The default cache directory: `$MRAMSIM_CACHE_DIR` when set, else
+    /// The default cache directory: `$MRAMSIM_CACHE_DIR` when set
+    /// (`None` when it is `off`, which disables persistence), else
     /// `~/.cache/mramsim`, else `target/mramsim-cache` (for
     /// environments without a home directory).
     #[must_use]
-    pub fn default_dir() -> PathBuf {
-        if let Ok(dir) = std::env::var("MRAMSIM_CACHE_DIR") {
-            if !dir.is_empty() {
-                return PathBuf::from(dir);
-            }
+    pub fn default_dir() -> Option<PathBuf> {
+        match std::env::var("MRAMSIM_CACHE_DIR") {
+            Ok(dir) if dir == "off" => None,
+            Ok(dir) if !dir.is_empty() => Some(PathBuf::from(dir)),
+            _ => Some(match std::env::var("HOME") {
+                Ok(home) if !home.is_empty() => Path::new(&home).join(".cache").join("mramsim"),
+                _ => PathBuf::from("target").join("mramsim-cache"),
+            }),
         }
-        if let Ok(home) = std::env::var("HOME") {
-            if !home.is_empty() {
-                return Path::new(&home).join(".cache").join("mramsim");
-            }
-        }
-        PathBuf::from("target").join("mramsim-cache")
     }
 
     /// The schema-versioned directory entries are stored in.

@@ -7,7 +7,7 @@ use mramsim_engine::store::SCHEMA_VERSION;
 use mramsim_engine::{Engine, Run, SweepOptions, SweepPlan};
 use std::fs;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A unique scratch directory, removed on drop.
@@ -579,6 +579,23 @@ fn cli_degrades_to_memory_only_when_the_default_cache_dir_is_unusable() {
 }
 
 #[test]
+fn cli_cache_dir_off_in_the_environment_persists_nothing() {
+    let dir = TempDir::new("cli-env-off");
+    let out = Command::new(env!("CARGO_BIN_EXE_mramsim"))
+        .env("MRAMSIM_CACHE_DIR", "off")
+        .env("HOME", &dir.0)
+        .current_dir(&dir.0)
+        .args(["sweep", "fig4b", "--pitch", "60,90", "--format", "csv"])
+        .output()
+        .expect("mramsim binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("journaled"), "{stderr}");
+    // Neither `$HOME/.cache/mramsim` nor a directory named `off`.
+    assert!(fs::read_dir(&dir.0).unwrap().next().is_none());
+}
+
+#[test]
 fn cli_rejects_misuse_of_resume() {
     let dir = TempDir::new("cli-misuse");
     let dir_str = dir.0.to_str().unwrap().to_owned();
@@ -652,6 +669,40 @@ fn cli_rejects_misuse_of_resume() {
             "--cache-dir",
             &dir_str,
         ],
+        // A flag the command would ignore, and a repeated flag or
+        // parameter, are errors too.
+        vec!["list", "--bogus", "1"],
+        vec!["run", "fig4a", "--workers", "2", "--cache-dir", &dir_str],
+        vec![
+            "run",
+            "fig4a",
+            "--telemetry",
+            "off",
+            "--cache-dir",
+            &dir_str,
+        ],
+        vec![
+            "run",
+            "fig4b",
+            "--pitch",
+            "90",
+            "--pitch",
+            "120",
+            "--cache-dir",
+            &dir_str,
+        ],
+        vec![
+            "sweep",
+            "fig4b",
+            "--pitch",
+            "60,90",
+            "--workers",
+            "1",
+            "--workers",
+            "2",
+            "--cache-dir",
+            &dir_str,
+        ],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_mramsim"))
             .args(&args)
@@ -662,4 +713,70 @@ fn cli_rejects_misuse_of_resume() {
     // The failed sweeps above must not leave resumable-looking journal
     // debris behind.
     assert!(no_runs(&dir.0), "invalid sweeps must not create journals");
+    // `serve` has no output to format. The unparsable port keeps
+    // anything from binding should the flag ever be accepted again.
+    let out = Command::new(env!("CARGO_BIN_EXE_mramsim"))
+        .args(["serve", "--format", "csv", "--addr", "127.0.0.1:notaport"])
+        .args(["--cache-dir", &dir_str])
+        .output()
+        .expect("mramsim binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("`serve` does not take `--format`"),
+        "{stderr}"
+    );
+}
+
+/// Spawns the binary with stderr piped and drops the read end at once,
+/// as `mramsim … 2>&1 >/dev/null | true` does; returns the output.
+fn mramsim_with_closed_stderr(args: &[&str]) -> std::process::Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mramsim"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("mramsim binary runs");
+    drop(child.stderr.take());
+    child.wait_with_output().expect("mramsim exits")
+}
+
+#[test]
+fn cli_survives_a_closed_stderr() {
+    // Diagnostics nobody reads are dropped; they used to panic the
+    // process (exit 101) after the work was done.
+    let out =
+        mramsim_with_closed_stderr(&["run", "fig4a", "--cache-dir", "off", "--format", "csv"]);
+    assert_eq!(out.status.code(), Some(0));
+    let csv = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    assert!(csv.lines().count() > 1 && csv.contains(','), "{csv}");
+    // The progress line is written while the sweep runs: a closed
+    // stderr must not stop it before every point is journaled.
+    let dir = TempDir::new("cli-closed-stderr");
+    let dir_str = dir.0.to_str().unwrap();
+    let out = mramsim_with_closed_stderr(&[
+        "sweep",
+        "fig4b",
+        "--pitch",
+        "60..240:20",
+        "--progress",
+        "on",
+        "--workers",
+        "1",
+        "--cache-dir",
+        dir_str,
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let journals: Vec<PathBuf> = fs::read_dir(dir.0.join("runs"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|e| e == "journal"))
+        .collect();
+    let [journal] = journals.as_slice() else {
+        panic!("one journal expected, found {journals:?}");
+    };
+    let run_id = journal.file_stem().unwrap().to_str().unwrap();
+    let engine = Engine::standard().with_disk_cache(&dir.0).unwrap();
+    let run = Run::resume(&engine, &dir.0, run_id).unwrap();
+    assert_eq!((run.journaled(), run.plan().len()), (10, 10));
 }

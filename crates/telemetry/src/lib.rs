@@ -58,7 +58,7 @@ pub use clock::{Clock, TestClock};
 pub use json::Json;
 pub use jsonl::{JsonlRecorder, SpanNode, SpanTree, TelemetryEvent, TelemetryLog};
 pub use metrics::{HistogramSnapshot, HistogramSpec, MetricsRecorder, MetricsSnapshot, SHARDS};
-pub use recorder::{Fanout, Field, NoopRecorder, Recorder, Value};
+pub use recorder::{Fanout, Field, Recorder, Value};
 
 use std::cell::Cell;
 use std::marker::PhantomData;

@@ -1,13 +1,11 @@
-//! The [`Recorder`] sink interface and its trivial implementations.
+//! The [`Recorder`] sink interface and [`Fanout`].
 //!
 //! Everything the instrumented hot paths emit — counter increments,
 //! gauge updates, histogram observations, structured events — flows
 //! into a `Recorder`. The crate root keeps one process-wide recorder
-//! behind an atomic enabled flag ([`crate::install`]); implementations
-//! here are the building blocks: [`NoopRecorder`] (discard
-//! everything), [`Fanout`] (tee to several sinks, e.g. an aggregating
-//! [`crate::MetricsRecorder`] plus a streaming
-//! [`crate::JsonlRecorder`]).
+//! behind an atomic enabled flag ([`crate::install`]); [`Fanout`] tees
+//! to several sinks, e.g. an aggregating [`crate::MetricsRecorder`]
+//! plus a streaming [`crate::JsonlRecorder`].
 
 /// One dynamically typed event field value.
 ///
@@ -95,14 +93,6 @@ pub trait Recorder: Send + Sync {
         let _ = (name, fields);
     }
 }
-
-/// A recorder that discards everything — the explicit "telemetry off"
-/// sink (installing it is equivalent to not installing anything, but
-/// lets call sites keep a non-optional `Arc<dyn Recorder>`).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// Tees every call to several sinks, in order.
 ///
