@@ -72,7 +72,11 @@ mod tests {
     #[test]
     fn sources_are_chained() {
         use std::error::Error;
-        let e: ArrayError = mramsim_numerics::NumericsError::SingularMatrix.into();
+        let e: ArrayError = mramsim_numerics::NumericsError::NoConvergence {
+            algorithm: "nelder-mead",
+            iterations: 1,
+        }
+        .into();
         assert!(e.source().is_some());
     }
 }

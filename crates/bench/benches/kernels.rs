@@ -6,7 +6,6 @@ use mramsim_bench::{design_point_device, eval_device};
 use mramsim_magnetics::field_map::PlaneMap;
 use mramsim_magnetics::{AnalyticLoop, FieldSource, LoopSource, SourceSet};
 use mramsim_mtj::SwitchDirection;
-use mramsim_numerics::optimize::{levenberg_marquardt, LmOptions};
 use mramsim_numerics::{special, Vec3};
 use mramsim_units::{Kelvin, Nanometer, Oersted, Volt};
 use std::time::Duration;
@@ -225,31 +224,11 @@ fn bench_switching_models(c: &mut Criterion) {
     });
 }
 
-fn bench_lm_fit(c: &mut Criterion) {
-    let xs: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.1).collect();
-    let ys: Vec<f64> = xs.iter().map(|&x| 2.5 * (-1.3 * x).exp()).collect();
-    c.bench_function("levenberg_marquardt_fit", |b| {
-        b.iter(|| {
-            levenberg_marquardt(
-                |p, out| {
-                    for ((x, y), r) in xs.iter().zip(&ys).zip(out.iter_mut()) {
-                        *r = p[0] * (-p[1] * x).exp() - y;
-                    }
-                },
-                &[1.0, 1.0],
-                xs.len(),
-                &LmOptions::default(),
-            )
-            .unwrap()
-        })
-    });
-}
-
 criterion_group! {
     name = kernels;
     config = config();
     targets = bench_biot_savart, bench_analytic_loop, bench_elliptic,
               bench_batched_kernels, bench_coupling_analyzer,
-              bench_switching_models, bench_lm_fit
+              bench_switching_models
 }
 criterion_main!(kernels);

@@ -86,7 +86,11 @@ mod tests {
     #[test]
     fn all_sources_are_chained() {
         use std::error::Error;
-        let e: CoreError = mramsim_numerics::NumericsError::SingularMatrix.into();
+        let e: CoreError = mramsim_numerics::NumericsError::NoConvergence {
+            algorithm: "nelder-mead",
+            iterations: 1,
+        }
+        .into();
         assert!(e.source().is_some());
         let e: CoreError = mramsim_vlab::VlabError::FeatureNotFound { feature: "x" }.into();
         assert!(e.source().is_some());

@@ -70,8 +70,9 @@ OPTIONS (each names the commands that take it, `sweep` also meaning
                               points are served from the disk cache
     --telemetry <on|off>      sweep: record metrics/events to
                               <cache-dir>/runs/<run-id>.telemetry
-                              (default on; results are byte-identical
-                              either way)
+                              (each resumed slice to its own
+                              <run-id>.<n>.telemetry, n >= 2; default
+                              on; results are byte-identical either way)
     --progress <auto|on|off>  sweep: live progress line on stderr
                               (default auto: only when stderr is a
                               terminal)
@@ -797,11 +798,21 @@ fn execute_sweep(
     // run's JSONL log when a cache directory exists to hold it. All of
     // it is write-only with respect to results.
     let telemetry = args.value("--telemetry") != Some("off");
+    // A resumed slice logs to the first free `<run-id>.<n>.telemetry`,
+    // n ≥ 2, and leaves the earlier slices' logs as they are: span ids
+    // and lanes restart in every process, so slices cannot share a log.
+    let log_id = match (&cache_dir, args.value("--resume")) {
+        (Some(dir), Some(_)) => (2..)
+            .map(|n| format!("{run_id}.{n}"))
+            .find(|id| !JsonlRecorder::path_for(dir, id).exists())
+            .expect("an unbounded range has a free slice number"),
+        _ => run_id.clone(),
+    };
     let metrics = Arc::new(MetricsRecorder::new());
     let mut jsonl: Option<Arc<JsonlRecorder>> = None;
     let telemetry_guard = if telemetry {
         if let Some(dir) = &cache_dir {
-            match JsonlRecorder::create(JsonlRecorder::path_for(dir, &run_id), Clock::system()) {
+            match JsonlRecorder::create(JsonlRecorder::path_for(dir, &log_id), Clock::system()) {
                 Ok(sink) => jsonl = Some(Arc::new(sink)),
                 Err(e) => note!("warning: telemetry log disabled: {e}\n"),
             }
@@ -909,7 +920,7 @@ fn execute_sweep(
     }
     if let Some(sink) = &jsonl {
         note!(
-            "telemetry at {} — inspect with `mramsim stats {run_id}`\n",
+            "telemetry at {} — inspect with `mramsim stats {log_id}`\n",
             sink.path().display()
         );
     }

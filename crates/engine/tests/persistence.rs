@@ -5,6 +5,7 @@
 
 use mramsim_engine::store::SCHEMA_VERSION;
 use mramsim_engine::{Engine, Run, SweepOptions, SweepPlan};
+use mramsim_telemetry::{JsonlRecorder, TelemetryLog};
 use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -382,6 +383,16 @@ fn cli_interrupted_sweep_resumes_byte_identically() {
     );
     assert!(resumed_err.contains("4 from disk"), "{resumed_err}");
 
+    // Each slice keeps its own run log (span ids restart in every
+    // process): the interrupted slice's log still holds its 4 computed
+    // points, and the resumed slice wrote `<run-id>.2.telemetry`.
+    assert_eq!(slice_log(&dir, &run_id), (4, 0));
+    assert_eq!(slice_log(&dir, &format!("{run_id}.2")), (5, 4));
+    assert!(
+        resumed_err.contains(&format!("`mramsim stats {run_id}.2`")),
+        "{resumed_err}"
+    );
+
     // Uninterrupted, in a pristine cache directory, separate process.
     let fresh = TempDir::new("cli-uninterrupted");
     let fresh_args: Vec<&str> = sweep_args[..sweep_args.len() - 1]
@@ -411,6 +422,21 @@ fn cli_interrupted_sweep_resumes_byte_identically() {
         "{rerun_err}"
     );
     assert_eq!(rerun_csv, uninterrupted_csv);
+    assert_eq!(slice_log(&dir, &format!("{run_id}.3")), (0, 9));
+}
+
+/// The `(computed, disk)` `job.done` counts of the run log `log_id`
+/// under `dir`, whose span tree must pass `trace --check`'s test.
+fn slice_log(dir: &TempDir, log_id: &str) -> (usize, usize) {
+    let log = TelemetryLog::load(JsonlRecorder::path_for(&dir.0, log_id)).expect("log parses");
+    log.span_tree().check().expect("spans pair and nest");
+    let count = |source: &str| {
+        log.events
+            .iter()
+            .filter(|e| e.name == "job.done" && e.text("source") == Some(source))
+            .count()
+    };
+    (count("computed"), count("disk"))
 }
 
 #[test]

@@ -20,8 +20,6 @@ pub enum NumericsError {
         /// Human-readable description of the violated constraint.
         message: String,
     },
-    /// A linear system was singular (or numerically so).
-    SingularMatrix,
     /// Input collections had inconsistent or insufficient size.
     BadShape {
         /// Human-readable description of the shape mismatch.
@@ -42,7 +40,6 @@ impl fmt::Display for NumericsError {
             Self::InvalidDomain { routine, message } => {
                 write!(f, "invalid input for {routine}: {message}")
             }
-            Self::SingularMatrix => write!(f, "matrix is singular to working precision"),
             Self::BadShape { message } => write!(f, "inconsistent input shape: {message}"),
         }
     }

@@ -6,10 +6,9 @@
 //! * [`Vec3`] — 3-component vectors for Biot–Savart geometry,
 //! * [`special`] — complete elliptic integrals `K`, `E` (off-axis loop
 //!   field reference solution) and friends,
-//! * [`linalg`] — small dense matrices with LU solve (normal equations of
-//!   the Levenberg–Marquardt fitter),
-//! * [`optimize`] — Nelder–Mead simplex and Levenberg–Marquardt least
-//!   squares (the paper extracts `Hk`, `Δ0` by curve fitting, §V-A),
+//! * [`optimize`] — Nelder–Mead simplex minimisation (the stack
+//!   calibration, and the least-squares curve fit by which the paper
+//!   extracts `Hk`, `Δ0`, §V-A),
 //! * [`stats`] — descriptive statistics for device populations,
 //! * [`dist`] — Normal sampling built on `rand` (process variation,
 //!   thermal switching stochasticity) and the ziggurat standard normal
@@ -48,7 +47,6 @@ pub mod dist;
 mod error;
 pub mod hash;
 pub mod histogram;
-pub mod linalg;
 pub mod memo;
 pub mod optimize;
 pub mod pool;

@@ -1,13 +1,7 @@
-//! Derivative-free and least-squares optimisation.
-//!
-//! * [`nelder_mead`] — simplex minimisation of a scalar objective; used
-//!   for robust starts and for the calibration pipeline.
-//! * [`levenberg_marquardt`] — damped least squares with a numerical
-//!   Jacobian; used to fit `Hk` and `Δ0` from switching-probability data
-//!   exactly as the paper does (§V-A, after Thomas et al. \[21\]).
+//! Derivative-free optimisation: [`nelder_mead`], the downhill simplex
+//! behind the stack calibration and the least-squares fit of `Hk` and
+//! `Δ0` to switching-probability data (§V-A, after Thomas et al. \[21\]).
 
-mod levenberg_marquardt;
 mod nelder_mead;
 
-pub use levenberg_marquardt::{levenberg_marquardt, LmOptions, LmReport};
 pub use nelder_mead::{nelder_mead, NelderMeadOptions, NelderMeadReport};

@@ -1,6 +1,6 @@
 //! Property tests for the numerics substrate.
 
-use mramsim_numerics::optimize::{levenberg_marquardt, nelder_mead, LmOptions, NelderMeadOptions};
+use mramsim_numerics::optimize::{nelder_mead, NelderMeadOptions};
 use mramsim_numerics::{dist, histogram::Histogram, special, stats, Vec3};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -75,25 +75,6 @@ proptest! {
         ).unwrap();
         prop_assert!((report.x[0] - cx).abs() < 1e-3);
         prop_assert!((report.x[1] - cy).abs() < 1e-3);
-    }
-
-    /// LM recovers line parameters from exact data for any slope.
-    #[test]
-    fn lm_recovers_lines(m in -5.0f64..5.0, q in -5.0f64..5.0) {
-        let xs: Vec<f64> = (0..12).map(f64::from).collect();
-        let ys: Vec<f64> = xs.iter().map(|&x| m * x + q).collect();
-        let report = levenberg_marquardt(
-            |p, out| {
-                for ((x, y), r) in xs.iter().zip(&ys).zip(out.iter_mut()) {
-                    *r = p[0] * x + p[1] - y;
-                }
-            },
-            &[0.0, 0.0],
-            xs.len(),
-            &LmOptions::default(),
-        ).unwrap();
-        prop_assert!((report.x[0] - m).abs() < 1e-6);
-        prop_assert!((report.x[1] - q).abs() < 1e-6);
     }
 
     /// Normal sampling stays within plausible bounds for its σ.

@@ -2,7 +2,8 @@
 //! Fig. 2b intra-field-vs-size study.
 
 use crate::{analyze_loop, RhLoopTester, SwitchingProbePoint, VlabError, Wafer};
-use mramsim_numerics::optimize::{levenberg_marquardt, LmOptions};
+use mramsim_mtj::SharrockModel;
+use mramsim_numerics::optimize::{nelder_mead, NelderMeadOptions};
 use mramsim_numerics::stats::Summary;
 use mramsim_units::{Nanometer, Oersted, Second};
 use rand::Rng;
@@ -14,22 +15,31 @@ pub struct SharrockFit {
     pub hk: Oersted,
     /// Extracted intrinsic thermal stability factor.
     pub delta0: f64,
-    /// Final residual cost of the fit.
+    /// Least-squares cost `½·Σrᵢ²` at the fit, `rᵢ` being the model's
+    /// switching probability minus the measured one.
     pub cost: f64,
 }
 
-/// Fits `(Hk, Δ0)` to switching-probability data via
-/// Levenberg–Marquardt, using the model
+/// Fits `(Hk, Δ0)` to switching-probability data by least squares:
+/// Nelder–Mead minimises `½·Σ(P(Hᵢ) − pᵢ)²`, where `P` is
+/// [`SharrockModel::switching_probability`],
 /// `P(H) = 1 − exp(−f0·τ·exp(−Δ0·(1 − H/Hk)²))`.
 ///
-/// `fields` must already be offset-corrected (effective fields at the
-/// FL), exactly as the paper corrects by the measured `Hoffset` before
-/// fitting.
+/// The simplex works in units of the starting guess (`[Hk/Hk₀, Δ0/Δ0₀]`
+/// from `[1, 1]`), so one relative step and one tolerance suit both
+/// parameters. A point the model rejects (`Hk` or `Δ0` not positive)
+/// costs infinity.
+///
+/// The fields in `data` must already be offset-corrected (effective
+/// fields at the FL), exactly as the paper corrects by the measured
+/// `Hoffset` before fitting.
 ///
 /// # Errors
 ///
-/// * [`VlabError::InvalidSetup`] for empty data or a non-positive dwell.
-/// * [`VlabError::Numerics`] when the fit fails to converge.
+/// * [`VlabError::InvalidSetup`] for fewer than 4 points or a
+///   non-positive dwell.
+/// * [`VlabError::Numerics`] for a non-positive starting guess, or when
+///   the fit fails to converge.
 ///
 /// # Examples
 ///
@@ -48,8 +58,8 @@ pub struct SharrockFit {
 ///     })
 ///     .collect();
 /// let fit = fit_sharrock(&data, dwell, (Oersted::new(4000.0), 40.0))?;
-/// assert!((fit.hk.value() - 4646.8).abs() < 30.0);
-/// assert!((fit.delta0 - 45.5).abs() < 0.5);
+/// assert!((fit.hk.value() - 4646.8).abs() < 0.01);
+/// assert!((fit.delta0 - 45.5).abs() < 1e-4);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn fit_sharrock(
@@ -70,28 +80,32 @@ pub fn fit_sharrock(
         });
     }
 
-    let f0t = mramsim_mtj::ATTEMPT_FREQUENCY * dwell.value();
-    let model = |hk: f64, delta0: f64, h: f64| -> f64 {
-        let x = 1.0 - h / hk;
-        let barrier = if x <= 0.0 { 0.0 } else { delta0 * x * x };
-        -(-f0t * (-barrier).exp()).exp_m1()
+    let (hk0, delta00) = initial;
+    let cost = |p: &[f64]| -> f64 {
+        let Ok(model) = SharrockModel::new(hk0 * p[0], delta00 * p[1]) else {
+            return f64::INFINITY;
+        };
+        let sum: f64 = data
+            .iter()
+            .map(|&(h, prob)| (model.switching_probability(h, dwell) - prob).powi(2))
+            .sum();
+        0.5 * sum
     };
-
-    let report = levenberg_marquardt(
-        |p, out| {
-            for ((h, prob), r) in data.iter().zip(out.iter_mut()) {
-                *r = model(p[0], p[1], h.value()) - prob;
-            }
+    let report = nelder_mead(
+        cost,
+        &[1.0, 1.0],
+        &NelderMeadOptions {
+            max_evaluations: 4000,
+            f_tolerance: 1e-14,
+            x_tolerance: 1e-9,
+            initial_step: 0.1,
         },
-        &[initial.0.value(), initial.1],
-        data.len(),
-        &LmOptions::default(),
     )?;
 
     Ok(SharrockFit {
-        hk: Oersted::new(report.x[0]),
-        delta0: report.x[1],
-        cost: report.cost,
+        hk: hk0 * report.x[0],
+        delta0: delta00 * report.x[1],
+        cost: report.fx,
     })
 }
 
@@ -192,6 +206,22 @@ mod tests {
     fn fit_rejects_tiny_datasets() {
         let data = [(Oersted::new(2000.0), 0.5)];
         assert!(fit_sharrock(&data, Second::new(1e-4), (Oersted::new(4000.0), 40.0)).is_err());
+    }
+
+    #[test]
+    fn fit_rejects_a_non_positive_start() {
+        let data: Vec<(Oersted, f64)> = (0..8)
+            .map(|i| {
+                (
+                    Oersted::new(2000.0 + 50.0 * f64::from(i)),
+                    0.1 * f64::from(i),
+                )
+            })
+            .collect();
+        for start in [(Oersted::new(-4000.0), 40.0), (Oersted::new(4000.0), 0.0)] {
+            let fit = fit_sharrock(&data, Second::new(1e-4), start);
+            assert!(matches!(fit, Err(VlabError::Numerics(_))), "{fit:?}");
+        }
     }
 
     #[test]

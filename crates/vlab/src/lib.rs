@@ -4,7 +4,9 @@
 //! blanket measurements, 1000-point R-H hysteresis loops, 1000-cycle
 //! switching-probability statistics, and the Thomas et al. \[21\]
 //! extraction of `Hk` and `Δ0`. We have no wafers, so this crate builds
-//! the closest synthetic equivalent that exercises the same code paths:
+//! the closest synthetic equivalent that exercises the same code paths
+//! (the VSM's layer `Ms·t` values are the stack's own, with no
+//! instrument in between):
 //!
 //! 1. [`Wafer`] generates device populations from a ground-truth
 //!    [`mramsim_mtj::MtjDevice`] plus [`ProcessVariation`],
@@ -15,7 +17,8 @@
 //!    (⇒ `Hz_s_intra = −Hoffset`), `RP`, and the eCD from `RA/RP`
 //!    exactly as §III describes,
 //! 4. [`SwitchingProbe`] + [`fit_sharrock`] recover `Hk` and `Δ0` from
-//!    switching-probability-vs-field data by Levenberg–Marquardt.
+//!    switching-probability-vs-field data by a least-squares fit of the
+//!    Sharrock model.
 //!
 //! Because the ground truth is known, the whole paper §III→§IV pipeline
 //! (measure → extract → calibrate) becomes a testable loop: extraction
@@ -49,7 +52,6 @@ mod loop_analysis;
 mod probe;
 mod rh_loop;
 mod variation;
-mod vsm;
 mod wafer;
 
 pub use error::VlabError;
@@ -60,5 +62,4 @@ pub use loop_analysis::{analyze_loop, LoopExtraction};
 pub use probe::{SwitchingProbe, SwitchingProbePoint};
 pub use rh_loop::{RhLoop, RhLoopTester};
 pub use variation::ProcessVariation;
-pub use vsm::{vsm_measure_stack, VsmReading};
 pub use wafer::{DeviceUnderTest, Wafer, WaferSpec};

@@ -103,6 +103,43 @@ fn hk_delta0_extraction_recovers_device_parameters() {
         "Δ0 = {}",
         fit.delta0
     );
+
+    // The tolerances above cannot tell a stalled simplex from the
+    // optimum: the fit must land on the least-squares minimum of this
+    // data set (where a Levenberg–Marquardt fit of the same model
+    // lands), and moving either parameter must raise ½·Σr².
+    assert!(
+        (fit.hk.value() - 4641.061).abs() < 0.01,
+        "Hk = {:?}",
+        fit.hk
+    );
+    assert!((fit.delta0 - 45.5984).abs() < 0.001, "Δ0 = {}", fit.delta0);
+    let cost = |hk: Oersted, delta0: f64| -> f64 {
+        let model = mramsim::mtj::SharrockModel::new(hk, delta0).unwrap();
+        let sum: f64 = points
+            .iter()
+            .map(|p| {
+                (model.switching_probability(p.h_applied + offset, probe.dwell()) - p.probability)
+                    .powi(2)
+            })
+            .sum();
+        0.5 * sum
+    };
+    assert!((cost(fit.hk, fit.delta0) - fit.cost).abs() <= 1e-12 * fit.cost);
+    for rel in [1.0 - 1e-4, 1.0 + 1e-4] {
+        let moved_hk = cost(fit.hk * rel, fit.delta0);
+        let moved_delta0 = cost(fit.hk, fit.delta0 * rel);
+        assert!(
+            moved_hk > fit.cost,
+            "Hk × {rel}: {moved_hk} vs {}",
+            fit.cost
+        );
+        assert!(
+            moved_delta0 > fit.cost,
+            "Δ0 × {rel}: {moved_delta0} vs {}",
+            fit.cost
+        );
+    }
 }
 
 /// Fault injection: a device whose stray field exceeds the coercive
