@@ -398,9 +398,13 @@ mod tests {
     #[test]
     fn hostile_fields_raise_the_cell_wer() {
         // AP→P: a negative stray field raises Ic, so at fixed drive the
-        // hostile cell must not be more reliable.
-        let cells = cells(&[150.0, -400.0], 1.6);
-        let plan = EnsemblePlan::new(192, 3, 2e-12).unwrap();
+        // hostile cell must not be more reliable. At 2.5× Ic and 3 ns
+        // Butler gives 0.58 (helpful) against 0.80 (hostile), a gap of
+        // several standard errors of the difference at 384 replicas;
+        // nearer threshold both cells sit at a WER of ≈ 1 and their
+        // order is a coin flip.
+        let cells = cells(&[150.0, -400.0], 2.5);
+        let plan = EnsemblePlan::new(384, 3, 2e-12).unwrap();
         let wers = wer_campaign(&cells, 3e-9, &plan, &WorkerPool::new(4));
         assert!(
             wers[1].wer >= wers[0].wer,
@@ -456,14 +460,20 @@ mod tests {
 
     #[test]
     fn an_idle_worker_helps_a_batch_bit_identically() {
-        // One item of a 2-worker dispatch owns a 24-block batch on a
+        // One item of a 2-worker dispatch owns a 96-block batch on a
         // one-wide pool, the other item is trivial: its worker, out of
-        // items, runs some of the batch's blocks.
+        // items, runs some of the batch's blocks. The batch takes about
+        // 10 ms in a release build, several scheduler time slices, so
+        // the helper runs before it ends even when both threads share
+        // one CPU; the barrier keeps a late thread start out of that
+        // window too.
         let cells = cells(&[0.0, -200.0, 150.0, -366.0], 3.0);
         let seeds = [5, 6, 7, 8];
-        let plan = EnsemblePlan::new(96, 1, 2e-12).unwrap();
+        let plan = EnsemblePlan::new(384, 1, 2e-12).unwrap();
         let batch = Arc::new(Batch::new(cells.clone(), seeds.to_vec(), 2e-9, &plan));
+        let started = std::sync::Barrier::new(2);
         let out = WorkerPool::new(2).scoped_map(&[0, 1], |_, &item| {
+            started.wait();
             if item == 1 {
                 // Out of items only once the batch is posted, as a
                 // dispatch whose jobs never post lets idle workers exit.

@@ -8,30 +8,30 @@
 //! may hold replicas of several ensembles: [`run_ensemble`] fills blocks
 //! from one ensemble, the array write campaign packs a whole batch of
 //! ensembles densely. Each step first fills the per-lane thermal-field
-//! arrays — the block's xoshiro states advance together in SoA form and
-//! the ziggurat fast path runs across all lanes, only its ≈1.5% misses
-//! finishing lane by lane — then runs one branch-free arithmetic pass
-//! over the lanes — a loop the compiler keeps in SIMD registers — and
-//! finally scans for barrier crossings. Blocks fan out as work items on
+//! arrays — every seventh step the block's xoshiro states advance
+//! together in SoA form, and each lane-step reads 9 bits of its lane's
+//! word as three four-point increments (see [`crate::stream`]) — then
+//! runs one branch-free arithmetic pass over the lanes — a loop the
+//! compiler keeps in SIMD registers — and finally scans for barrier
+//! crossings. Blocks fan out as work items on
 //! [`mramsim_numerics::pool`]. Lanes past the last replica of a batch
 //! repeat a live lane and are discarded, so only a batch's last block
 //! computes padding.
 //!
 //! Determinism contract: every replica owns an RNG stream derived only
 //! from `(seed, replica index)` ([`crate::llgs::replica_rng`]) and draws
-//! its initial angle, then its thermal field x, y, z per step, from it;
-//! the lane pass applies [`crate::llgs::heun_step`] verbatim per lane,
-//! on that lane's [`DriftCoeffs`] — so the ensemble result is
-//! **bit-identical** to stepping each replica through the scalar
-//! reference path ([`run_replica`]), no matter how replicas are blocked,
-//! which ensembles share a block, or how many workers execute the
-//! blocks. That is what makes Monte-Carlo results content-addressable by
-//! the engine cache.
+//! its initial angle, then one word per seven steps for its thermal
+//! field, from it; the lane pass applies [`crate::llgs::heun_step`]
+//! verbatim per lane, on that lane's [`DriftCoeffs`] — so the ensemble
+//! result is **bit-identical** to stepping each replica through the
+//! scalar reference path ([`run_replica`]), no matter how replicas are
+//! blocked, which ensembles share a block, or how many workers execute
+//! the blocks. That is what makes Monte-Carlo results
+//! content-addressable by the engine cache.
 
-use crate::llgs::{heun_step, replica_rng, thermal_field, DriftCoeffs, MacrospinParams};
+use crate::llgs::{heun_step, replica_rng, DriftCoeffs, MacrospinParams};
 use crate::stream::LaneStreams;
 use crate::DynamicsError;
-use mramsim_numerics::dist::Ziggurat;
 use mramsim_numerics::pool::WorkerPool;
 use mramsim_numerics::Vec3;
 use mramsim_telemetry as telemetry;
@@ -206,10 +206,12 @@ pub fn run_replica(
     let dest = coeffs.stt_sign;
     let mut rng = replica_rng(plan.seed, index);
     let mut m = params.initial_m(&mut rng);
+    let mut word = 0;
     let mut crossing_time = None;
     for k in 0..steps {
         let h_noise = if plan.thermal {
-            thermal_field(&mut rng, sigma)
+            let [x, y, z] = rng.thermal(k, &mut word, sigma);
+            Vec3::new(x, y, z)
         } else {
             Vec3::ZERO
         };
@@ -296,7 +298,6 @@ pub(crate) fn run_lanes(
     });
     let dest = coeffs.stt_sign;
 
-    let zig = Ziggurat::get();
     let mut streams = LaneStreams::from_fn(|l| (lanes[l].seed, lanes[l].index));
     let mut mx = [0.0f64; LANES];
     let mut my = [0.0f64; LANES];
@@ -307,19 +308,15 @@ pub(crate) fn run_lanes(
         my[l] = m0.y;
         mz[l] = m0.z;
     }
-    let mut hx = [0.0f64; LANES];
-    let mut hy = [0.0f64; LANES];
-    let mut hz = [0.0f64; LANES];
+    let mut words = [0u64; LANES];
+    let [mut hx, mut hy, mut hz] = [[0.0f64; LANES]; 3];
     let mut crossing: [Option<f64>; LANES] = [None; LANES];
 
     for k in 0..steps {
-        // 1) Thermal field, one component across all lanes at a time:
-        //    each lane still draws x, then y, then z from its own
-        //    stream, so interleaving lanes cannot change any stream.
+        // 1) Thermal field: each lane reads its own stream's word, so
+        //    stepping lanes together cannot change any stream.
         if thermal {
-            hx = streams.normals(zig, &sigma);
-            hy = streams.normals(zig, &sigma);
-            hz = streams.normals(zig, &sigma);
+            [hx, hy, hz] = streams.thermal(k, &mut words, &sigma);
         }
         // 2) The branch-free arithmetic pass — the same `heun_step`
         //    expression tree per lane as the scalar path.

@@ -17,11 +17,13 @@
 //!   [`mramsim_numerics::Vec3`], over one replica's [`DriftCoeffs`],
 //! * one lane-block kernel that steps 16 replicas in SoA form, each on
 //!   its own coefficients, drive, noise scale and stream, so a block
-//!   may mix ensembles. Each replica draws its thermal field from the
-//!   ziggurat sampler ([`mramsim_numerics::dist::Ziggurat`]) on its own
-//!   xoshiro256++ stream ([`llgs::replica_rng`]), whose states a block
-//!   advances together. Every output is bit-identical to the scalar
-//!   reference [`run_replica`] for identical seeds,
+//!   may mix ensembles. Each replica reads its thermal field off its
+//!   own xoshiro256++ stream ([`llgs::replica_rng`]), whose states a
+//!   block advances together: every component is a four-point
+//!   increment matching the normal's first five moments, 3 bits of one
+//!   word that serves 7 steps. Every output is bit-identical to the
+//!   scalar reference [`run_replica`] for identical seeds, and
+//!   [`MODEL_VERSION`] names the bits they produce,
 //! * [`run_ensemble`] — N replicas of one ensemble through that kernel,
 //!   fanned out on [`mramsim_numerics::pool`],
 //! * [`wer_monte_carlo`] / [`switching_time_distribution`] — the
@@ -71,6 +73,17 @@ pub mod llgs;
 mod mc;
 mod memo;
 mod stream;
+
+/// The version of the bits of every s-LLGS result, which the engine
+/// folds into the cache address of each scenario that runs one
+/// (`wer-mc`, `switch-traj`, `array-wer`, `array-wer-shard`). Bump it
+/// with any change to the bits of an s-LLGS result, whether the
+/// streams, the increments or the stepper, and commit the Monte-Carlo
+/// goldens tagged with the new version.
+///
+/// Version 2: four-point thermal increments replaced the ziggurat
+/// normals (version 1, the unversioned addresses before it).
+pub const MODEL_VERSION: u32 = 2;
 
 pub use campaign::{cell_seed, wer_campaign, wer_campaign_seeded, CellDrive};
 pub use ensemble::{run_ensemble, run_replica, EnsemblePlan, ReplicaOutcome, LANES};

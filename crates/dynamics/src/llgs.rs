@@ -19,7 +19,14 @@
 //! for symmetric MTJ macrospin models. Integration is the Heun
 //! (predictor–corrector) scheme with the same noise realisation in both
 //! stages — the Stratonovich-consistent choice — followed by a
-//! projection back onto `|m| = 1`.
+//! projection back onto `|m| = 1`. Each step's noise realisation is
+//! `σ·ξ` per component, with `σ = √(2D/dt)`
+//! ([`MacrospinParams::thermal_sigma`]) and `ξ` a four-point weak
+//! increment with the standard normal's first five moments
+//! (`crate::stream`): write error rates are distributional, so the
+//! increments need the Gaussian's low moments, not its shape, and
+//! `tests/weak_convergence.rs` pins the step error that leaves against
+//! a Gaussian reference.
 //!
 //! # Calibration
 //!
@@ -50,7 +57,7 @@
 
 use crate::DynamicsError;
 use mramsim_mtj::{MtjDevice, SwitchDirection};
-use mramsim_numerics::dist::{InitialAngle, Ziggurat};
+use mramsim_numerics::dist::InitialAngle;
 use mramsim_numerics::Vec3;
 use mramsim_units::constants::{E_CHARGE, K_B, MU_0, MU_B};
 use mramsim_units::{Kelvin, Oersted};
@@ -366,18 +373,6 @@ pub fn heun_step(coeffs: &DriftCoeffs, m: Vec3, h_noise: Vec3, aj: f64, dt: f64)
     let f2 = coeffs.drift(predictor, h_noise, aj);
     let corrected = m + (f1 + f2) * (0.5 * dt);
     corrected / corrected.norm()
-}
-
-/// Draws the three thermal-field components for one step: three
-/// [`Ziggurat`] normals, x then y then z. The draw order is part of the
-/// per-replica determinism contract.
-#[inline]
-pub fn thermal_field<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Vec3 {
-    let zig = Ziggurat::get();
-    let nx = zig.sample(rng);
-    let ny = zig.sample(rng);
-    let nz = zig.sample(rng);
-    Vec3::new(nx * sigma, ny * sigma, nz * sigma)
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 //! Per-replica random streams: xoshiro256++ seeded through SplitMix64
-//! from an FNV-1a mix of `(ensemble seed, replica index)`.
+//! from an FNV-1a mix of `(ensemble seed, replica index)`, and the
+//! thermal increments drawn from them.
 //!
 //! The generator is spelled out here rather than borrowed from `rand`,
 //! so a replica's stream is fixed by this crate alone: it yields
@@ -14,15 +15,55 @@
 //!   replicas in structure-of-arrays form (`[[u64; LANES]; 4]`),
 //!   advanced together so the integer update vectorises. Each lane is
 //!   seeded from its own `(seed, replica index)`, so one block may hold
-//!   replicas of several ensembles. [`LaneStreams::normals`] runs the
-//!   ziggurat fast path across all lanes and finishes only the misses
-//!   on each lane's own stream, so every lane consumes its words in
-//!   exactly the order the scalar path does.
+//!   replicas of several ensembles.
+//!
+//! # Thermal increments
+//!
+//! Each thermal-field component is `ξ·σ` with `ξ` a four-point variable
+//! that matches the standard normal's first five moments exactly
+//! (0, 1, 0, 3, 0): `±a` with probability 1/8 per sign and `±b` with
+//! 3/8 per sign, `a = √(1+√6)`, `b = √(1−√(2/3))`. WER is a weak
+//! (distributional) quantity, and this is the simplified weak
+//! increment of Kloeden & Platen (1992, §14.2) in a dyadic form that
+//! three random bits draw exactly: the lowest bit is the sign, and the
+//! next two select `a` when both are set. One word of a replica's
+//! stream serves [`STEPS_PER_WORD`] steps of 9 bits, so a lane-step
+//! costs a seventh of a word where a Gaussian costs a word per
+//! component. [`increments`] holds that layout; the scalar path and
+//! the lane kernel both read through it, so their bits agree.
 
 use crate::ensemble::LANES;
-use mramsim_numerics::dist::Ziggurat;
 use mramsim_numerics::hash::Fnv1a;
 use rand::Rng;
+
+/// The large magnitude of the four-point increment, `√(1+√6)`.
+const XI_A: f64 = 1.857_280_200_396_046_2;
+
+/// The small magnitude of the four-point increment, `√(1−√(2/3))`.
+const XI_B: f64 = 0.428_372_990_596_132_2;
+
+/// Heun steps one word of a replica's stream serves: 9 bits each, 63
+/// of the word's 64.
+const STEPS_PER_WORD: usize = 7;
+
+/// The four-point increment that the low 3 bits of `bits` draw: the
+/// lowest bit is the sign, and the next two, when both set, select
+/// [`XI_A`] (probability 1/4), otherwise [`XI_B`].
+#[inline(always)]
+fn xi(bits: u64) -> f64 {
+    let magnitude = if bits & 6 == 6 { XI_A } else { XI_B };
+    f64::from_bits(magnitude.to_bits() | (bits & 1) << 63)
+}
+
+/// The standard increments `[ξx, ξy, ξz]` of Heun step `k` from
+/// `word`, the word the replica drew at the last step with
+/// `k % STEPS_PER_WORD == 0`: component `c` reads bits
+/// `9·(k mod 7) + 3c .. +3`.
+#[inline(always)]
+fn increments(word: u64, k: usize) -> [f64; 3] {
+    let bits = word >> (9 * (k % STEPS_PER_WORD));
+    [xi(bits), xi(bits >> 3), xi(bits >> 6)]
+}
 
 /// The seed of replica `index`'s stream under ensemble seed `seed`: an
 /// FNV-1a mix of position only, so streams do not depend on how
@@ -79,6 +120,18 @@ pub struct ReplicaStream {
     s: [u64; 4],
 }
 
+impl ReplicaStream {
+    /// Step `k`'s thermal field at per-component scale `sigma`, drawing
+    /// the next word into `word` when the step starts one.
+    #[inline]
+    pub(crate) fn thermal(&mut self, k: usize, word: &mut u64, sigma: f64) -> [f64; 3] {
+        if k.is_multiple_of(STEPS_PER_WORD) {
+            *word = self.next_u64();
+        }
+        increments(*word, k).map(|xi| xi * sigma)
+    }
+}
+
 impl Rng for ReplicaStream {
     #[inline]
     fn next_u64(&mut self) -> u64 {
@@ -128,25 +181,28 @@ impl LaneStreams {
         }
     }
 
-    /// One standard-normal variate per lane, lane `l` scaled by
-    /// `scale[l]`: one word from every lane at once, the ziggurat fast
-    /// path on each, and [`Ziggurat::slow`] on a rejected lane's own
-    /// stream. Lane `l` gets exactly the value
-    /// `zig.sample(&mut scalar_stream_l) * scale[l]` would give. Always
-    /// inlined: the lane pass of [`crate::ensemble::run_lanes`] draws
-    /// three of these per step, and an out-of-line call there costs
-    /// several percent of a campaign.
+    /// Step `k`'s thermal field, one array per component, lane `l` at
+    /// scale `sigma[l]`: every lane draws its next word into `words`
+    /// when the step starts one. Lane `l` gets exactly what
+    /// [`ReplicaStream::thermal`] gives its scalar stream.
     #[inline(always)]
-    pub(crate) fn normals(&mut self, zig: &Ziggurat, scale: &[f64; LANES]) -> [f64; LANES] {
-        let words = self.next_words();
-        let mut z = [0.0f64; LANES];
-        for l in 0..LANES {
-            z[l] = match zig.fast(words[l]) {
-                (candidate, true) => candidate,
-                _ => zig.slow(words[l], &mut self.lane(l)),
-            };
+    pub(crate) fn thermal(
+        &mut self,
+        k: usize,
+        words: &mut [u64; LANES],
+        sigma: &[f64; LANES],
+    ) -> [[f64; LANES]; 3] {
+        if k.is_multiple_of(STEPS_PER_WORD) {
+            *words = self.next_words();
         }
-        core::array::from_fn(|l| z[l] * scale[l])
+        let mut h = [[0.0f64; LANES]; 3];
+        for l in 0..LANES {
+            let [x, y, z] = increments(words[l], k);
+            h[0][l] = x * sigma[l];
+            h[1][l] = y * sigma[l];
+            h[2][l] = z * sigma[l];
+        }
+        h
     }
 }
 
@@ -222,8 +278,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_normals_match_scalar_ziggurat_draws() {
-        let zig = Ziggurat::get();
+    fn lane_increments_match_scalar_draws() {
         let mut lanes = LaneStreams::from_fn(|l| mixed(11, 32, l));
         let mut scalar: Vec<ReplicaStream> = (0..LANES)
             .map(|l| {
@@ -232,11 +287,59 @@ mod tests {
             })
             .collect();
         let scale: [f64; LANES] = core::array::from_fn(|l| 3.7e4 * (1.0 + l as f64 / 8.0));
-        for _ in 0..20_000 {
-            let z = lanes.normals(zig, &scale);
+        let mut words = [0u64; LANES];
+        let mut scalar_words = [0u64; LANES];
+        for k in 0..20_000 {
+            let h = lanes.thermal(k, &mut words, &scale);
             for (l, stream) in scalar.iter_mut().enumerate() {
-                assert_eq!(z[l].to_bits(), (zig.sample(stream) * scale[l]).to_bits());
+                let want = stream.thermal(k, &mut scalar_words[l], scale[l]);
+                for c in 0..3 {
+                    assert_eq!(h[c][l].to_bits(), want[c].to_bits(), "lane {l} step {k}");
+                }
             }
+        }
+    }
+
+    /// The four values over the eight equally likely 3-bit patterns.
+    fn support() -> [f64; 8] {
+        core::array::from_fn(|bits| xi(bits as u64))
+    }
+
+    #[test]
+    fn increments_match_the_first_five_normal_moments() {
+        for (n, want) in [(1, 0.0), (2, 1.0), (3, 0.0), (4, 3.0), (5, 0.0)] {
+            let moment = support().iter().map(|x| x.powi(n)).sum::<f64>() / 8.0;
+            assert!(
+                (moment - want).abs() <= 1e-14,
+                "E xi^{n} = {moment}, want {want}"
+            );
+        }
+        assert_eq!(XI_A, (1.0 + 6f64.sqrt()).sqrt());
+        assert_eq!(XI_B, (1.0 - (2.0f64 / 3.0).sqrt()).sqrt());
+    }
+
+    #[test]
+    fn increments_take_each_value_at_its_probability() {
+        // 2^20 draws through the layout: components of consecutive
+        // steps, one stream word per seven steps.
+        let mut stream = replica_rng(2024, 0);
+        let mut word = 0;
+        let n = 1usize << 20;
+        let values = [-XI_A, -XI_B, XI_B, XI_A];
+        let mut counts = [0u64; 4];
+        let draws = (0..).flat_map(|k| stream.thermal(k, &mut word, 1.0));
+        for x in draws.take(n) {
+            let value = values.iter().position(|&v| v == x);
+            counts[value.expect("a support value")] += 1;
+        }
+        let n = n as f64;
+        for (count, p) in counts.into_iter().zip([0.125, 0.375, 0.375, 0.125]) {
+            let sigma = (n * p * (1.0 - p)).sqrt();
+            assert!(
+                (count as f64 - n * p).abs() <= 5.0 * sigma,
+                "count {count} vs expected {} ± {sigma}",
+                n * p
+            );
         }
     }
 }

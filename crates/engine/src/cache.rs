@@ -1,7 +1,8 @@
 //! The content-addressed result cache (in-memory tier).
 //!
-//! Keys are a 64-bit FNV-1a hash of `scenario id + parameter
-//! fingerprint` (see [`crate::ParamSet::fingerprint`]); values are
+//! Keys are a 64-bit FNV-1a hash of `scenario id + model version +
+//! parameter fingerprint` (see [`ResultCache::versioned_key`] and
+//! [`crate::ParamSet::fingerprint`]); values are
 //! shared [`ScenarioOutput`]s. Repeated grid points — common when
 //! sweeps overlap or a report re-runs a scenario — are served without
 //! recomputation. The hash lives in [`mramsim_numerics::hash`], shared
@@ -69,6 +70,23 @@ impl ResultCache {
         h.finish()
     }
 
+    /// The content address of one `(scenario, fingerprint)` point at
+    /// the scenario's model version ([`crate::Scenario::version`]).
+    /// Version 1 is exactly [`Self::key`], so every address from before
+    /// versions existed stays valid; a later version enters as one more
+    /// field, which re-addresses that scenario's results alone.
+    #[must_use]
+    pub fn versioned_key(scenario_id: &str, version: u32, fingerprint: &str) -> u64 {
+        if version <= 1 {
+            return Self::key(scenario_id, fingerprint);
+        }
+        let mut h = Fnv1a::new();
+        h.field(scenario_id.as_bytes());
+        h.field(format!("v{version}").as_bytes());
+        h.update(fingerprint.as_bytes());
+        h.finish()
+    }
+
     /// Looks up a result, counting the hit or miss and refreshing the
     /// entry's recency.
     #[must_use]
@@ -121,6 +139,25 @@ mod tests {
         assert_ne!(a, c);
         // The separator prevents ("ab", "c") colliding with ("a", "bc").
         assert_ne!(ResultCache::key("ab", "c"), ResultCache::key("a", "bc"));
+    }
+
+    #[test]
+    fn version_one_is_the_unversioned_key() {
+        for (id, fingerprint) in [("fig4b", "ecd=1;"), ("array-wer", ""), ("", "p")] {
+            let unversioned = ResultCache::key(id, fingerprint);
+            assert_eq!(ResultCache::versioned_key(id, 1, fingerprint), unversioned);
+            // The digest is FNV-1a of `id + NUL + fingerprint`, as cached
+            // results have always been addressed.
+            assert_eq!(
+                unversioned,
+                fnv1a(format!("{id}\0{fingerprint}").as_bytes())
+            );
+            let later: Vec<u64> = (2..5)
+                .map(|v| ResultCache::versioned_key(id, v, fingerprint))
+                .collect();
+            assert!(!later.contains(&unversioned));
+            assert!(later[0] != later[1] && later[1] != later[2]);
+        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub struct SweepOutcome {
 pub struct JobEvent<'a> {
     /// The job's index in deterministic expansion order.
     pub index: usize,
-    /// The job's content address (`ResultCache::key`).
+    /// The job's content address (`ResultCache::versioned_key`).
     pub key: u64,
     /// The fully resolved parameters.
     pub params: &'a ParamSet,
@@ -455,7 +455,7 @@ impl Engine {
             params: &params,
             budget: None,
         };
-        let key = ResultCache::key(id, &params.fingerprint());
+        let key = self.key(id, &params);
         let walk = self.walk(key, Instant::now(), None, Some(compute));
         let (tier, output) = walk.served?.expect("without a budget every miss computes");
         Ok(RunOutcome {
@@ -463,6 +463,14 @@ impl Engine {
             tier,
             duration: walk.duration,
         })
+    }
+
+    /// The content address of resolved `params` under the registered
+    /// scenario `id`, at the scenario's model version
+    /// ([`ResultCache::versioned_key`]).
+    fn key(&self, id: &str, params: &ParamSet) -> u64 {
+        let version = self.registry.get(id).map_or(1, |s| s.version());
+        ResultCache::versioned_key(id, version, &params.fingerprint())
     }
 
     /// Looks a result up by its content address across both cache
@@ -473,9 +481,9 @@ impl Engine {
     ///
     /// This is the read side of the serve API's `GET /results/<key>`:
     /// submission responses hand out the key
-    /// ([`ResultCache::key`] over scenario id + parameter
-    /// fingerprint), and any client holding it can fetch the output
-    /// from the shared warm cache.
+    /// ([`ResultCache::versioned_key`] over scenario id, model version
+    /// and parameter fingerprint), and any client holding it can fetch
+    /// the output from the shared warm cache.
     #[must_use]
     pub fn lookup(&self, key: u64) -> Option<Arc<ScenarioOutput>> {
         let walk = self.walk(key, Instant::now(), None, None);
@@ -616,7 +624,7 @@ impl Engine {
         // field maps, Ψ sweeps) open default pools, which the pool
         // sizes to each job's share of the machine.
         let results = self.pool.scoped_map(&plan.points, |index, (_, params)| {
-            let key = ResultCache::key(id, &params.fingerprint());
+            let key = self.key(id, params);
             let job_start = Instant::now();
             // Cooperative cancellation (a draining server): jobs that
             // have not started when the flag flips are skipped — like

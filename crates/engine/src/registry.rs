@@ -22,6 +22,7 @@ use mramsim_core::explorer::{explore, DesignQuery};
 use mramsim_core::report::Table;
 use mramsim_dynamics::{
     switching_time_distribution, wer_monte_carlo, EnsembleMemo, EnsemblePlan, MacrospinParams,
+    MODEL_VERSION,
 };
 use mramsim_faults::march::MarchTest;
 use mramsim_faults::{
@@ -937,6 +938,10 @@ impl Scenario for WerMcScenario {
         "wer-mc"
     }
 
+    fn version(&self) -> u32 {
+        MODEL_VERSION
+    }
+
     fn summary(&self) -> &'static str {
         "Monte-Carlo WER from s-LLGS ensembles, vs the analytic Butler model"
     }
@@ -1028,6 +1033,10 @@ struct SwitchTrajScenario;
 impl Scenario for SwitchTrajScenario {
     fn id(&self) -> &'static str {
         "switch-traj"
+    }
+
+    fn version(&self) -> u32 {
+        MODEL_VERSION
     }
 
     fn summary(&self) -> &'static str {
@@ -1190,6 +1199,10 @@ impl Scenario for ArrayWerScenario {
         "array-wer"
     }
 
+    fn version(&self) -> u32 {
+        MODEL_VERSION
+    }
+
     fn summary(&self) -> &'static str {
         "array write campaign: per-cell WER fault map under a data pattern, one s-LLGS Monte-Carlo ensemble per window class"
     }
@@ -1306,6 +1319,10 @@ struct ArrayWerShardScenario {
 impl Scenario for ArrayWerShardScenario {
     fn id(&self) -> &'static str {
         "array-wer-shard"
+    }
+
+    fn version(&self) -> u32 {
+        MODEL_VERSION
     }
 
     fn summary(&self) -> &'static str {

@@ -20,6 +20,15 @@ pub trait Scenario: Send + Sync {
     /// One-line description shown by `mramsim list`.
     fn summary(&self) -> &'static str;
 
+    /// The version of the model behind this scenario's outputs, part of
+    /// every result's content address: bump it when the same parameters
+    /// would produce different bits, and only this scenario's cached
+    /// results are recomputed. Version 1 adds nothing to the address, so
+    /// results cached before versions existed keep serving.
+    fn version(&self) -> u32 {
+        1
+    }
+
     /// The declared parameters with their defaults. The engine rejects
     /// any parameter outside this list before [`Scenario::run`] is
     /// called.

@@ -2,11 +2,18 @@
 //! [`crate::cache::ResultCache`].
 //!
 //! Every entry is one file named by the canonical hex form of the
-//! 64-bit FNV-1a content address (`ResultCache::key`), inside a
-//! schema-versioned subdirectory (`v3/`), so a serialization change —
-//! or a change to what a cached result means — bumps
-//! [`SCHEMA_VERSION`] and old entries are simply never looked at again
-//! — no migration, no mixed reads.
+//! 64-bit FNV-1a content address (`ResultCache::versioned_key`: scenario
+//! id, the scenario's model version, parameter fingerprint), inside a
+//! schema-versioned subdirectory (`v3/`). Two versions invalidate
+//! entries, each without migration or mixed reads:
+//!
+//! * a change to what one scenario's results mean bumps that scenario's
+//!   [`crate::Scenario::version`] (for the four Monte-Carlo scenarios,
+//!   `mramsim_dynamics::MODEL_VERSION`): its points get new addresses
+//!   and are recomputed, and every other scenario's entries keep
+//!   serving;
+//! * a change to the file layout bumps [`SCHEMA_VERSION`], and old
+//!   entries are simply never looked at again.
 //!
 //! Durability properties:
 //!
@@ -33,16 +40,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version tag of the on-disk entry format. Part of both the directory
-/// layout (`v3/`) and every entry header; bump it whenever the
-/// serialization or the meaning of cached results changes.
+/// layout (`v3/`) and every entry header; bump it only when the
+/// serialization changes. A change to what cached results mean bumps
+/// the scenario's [`crate::Scenario::version`] instead, which
+/// recomputes that scenario's points alone.
 ///
-/// Version 2: the s-LLGS thermal field draws its normals from the
-/// ziggurat sampler instead of Box–Muller, so every Monte-Carlo result
-/// (`wer-mc`, `switch-traj`, `array-wer`, `array-wer-shard`) changed.
-///
-/// Version 3: `array-wer` runs one ensemble per window class on
-/// `class_seed` streams instead of one per cell on `cell_seed` streams,
-/// so its Monte-Carlo columns changed under unchanged cache keys.
+/// Versions 2 and 3 predate per-scenario versions and each discarded
+/// every scenario's entries for a change to Monte-Carlo results alone:
+/// the ziggurat thermal draws (2), and `array-wer`'s move to one
+/// ensemble per window class on `class_seed` streams (3).
 pub const SCHEMA_VERSION: u32 = 3;
 
 /// Counters of a [`DiskStore`].

@@ -3,7 +3,10 @@
 //! a committed golden within per-column tolerances. The four
 //! Monte-Carlo scenarios are pinned the same way under `tests/golden/mc/`,
 //! but byte for byte: a failure count that moves by one is a different
-//! random draw, not rounding jitter.
+//! random draw, not rounding jitter. Their goldens are tagged with the
+//! scenario's model version (`<id>.v<version>.csv`), so an output change
+//! without a version bump fails as a mismatch, and a bump without a new
+//! golden fails as a missing golden.
 //!
 //! Regenerate after an intentional model change with
 //!
@@ -16,7 +19,7 @@
 //! as a CI artifact) so a failure can be inspected — or promoted to the
 //! new golden — without re-running the suite.
 
-use mramsim_engine::{Engine, ParamSet};
+use mramsim_engine::{Engine, ParamSet, Registry};
 use std::fs;
 use std::path::PathBuf;
 
@@ -278,7 +281,8 @@ fn monte_carlo_scenarios_match_their_goldens_byte_for_byte() {
             .run(id, &overrides)
             .unwrap_or_else(|e| panic!("{id} failed to run: {e}"));
         let actual = outcome.output.to_csv();
-        let path = dir.join(format!("{id}.csv"));
+        let version = Registry::standard().get(id).unwrap().version();
+        let path = dir.join(format!("{id}.v{version}.csv"));
         if regenerate {
             fs::create_dir_all(&dir).unwrap();
             fs::write(&path, &actual).unwrap();

@@ -4,7 +4,10 @@
 //! an uninterrupted run.
 
 use mramsim_engine::store::SCHEMA_VERSION;
-use mramsim_engine::{Engine, Run, SweepOptions, SweepPlan};
+use mramsim_engine::{
+    Engine, EngineError, ParamSet, ParamSpec, Registry, Run, Scenario, ScenarioOutput,
+    SweepOptions, SweepPlan, Tier,
+};
 use mramsim_telemetry::{JsonlRecorder, TelemetryLog};
 use std::fs;
 use std::path::PathBuf;
@@ -76,6 +79,63 @@ fn a_fresh_engine_is_served_entirely_from_disk() {
     // disk.
     let hot = b.sweep(&plan).unwrap();
     assert_eq!((hot.cache_hits, hot.disk_hits), (9, 0));
+}
+
+/// A scenario whose model version is a field, standing in for a model
+/// change that alters its outputs.
+struct Toy {
+    version: u32,
+}
+
+impl Scenario for Toy {
+    fn id(&self) -> &'static str {
+        "toy"
+    }
+
+    fn summary(&self) -> &'static str {
+        "twice x, at a settable model version"
+    }
+
+    fn version(&self) -> u32 {
+        self.version
+    }
+
+    fn params(&self) -> Vec<ParamSpec> {
+        vec![ParamSpec::new("x", "input", 1.0)]
+    }
+
+    fn run(&self, params: &ParamSet) -> Result<ScenarioOutput, EngineError> {
+        Ok(ScenarioOutput::default().with_scalar("y", 2.0 * params.number("x")?))
+    }
+}
+
+fn engine_with_toy(version: u32, dir: &TempDir) -> Engine {
+    let mut registry = Registry::new();
+    registry.register(Registry::standard().get("fig4b").unwrap().clone());
+    registry.register(std::sync::Arc::new(Toy { version }));
+    Engine::new(registry).with_disk_cache(&dir.0).unwrap()
+}
+
+#[test]
+fn a_version_bump_recomputes_only_that_scenarios_points() {
+    let dir = TempDir::new("version-bump");
+    let toy = SweepPlan::new("toy").axis("x", vec![1.0, 2.0, 3.0, 4.0]);
+    let before = engine_with_toy(1, &dir);
+    for plan in [&nine_point_plan(), &toy] {
+        let cold = before.sweep(plan).unwrap();
+        assert!(cold.jobs.iter().all(|job| job.tier == Tier::Computed));
+    }
+    let after = engine_with_toy(2, &dir);
+    let fig4b = after.sweep(&nine_point_plan()).unwrap();
+    assert!(
+        fig4b.jobs.iter().all(|job| job.tier == Tier::Disk),
+        "an unchanged scenario keeps serving from disk"
+    );
+    let bumped = after.sweep(&toy).unwrap();
+    assert!(
+        bumped.jobs.iter().all(|job| job.tier == Tier::Computed),
+        "the bumped scenario recomputes every point"
+    );
 }
 
 #[test]

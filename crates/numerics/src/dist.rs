@@ -3,20 +3,15 @@
 //! Implemented on top of `rand`'s uniform source rather than pulling in
 //! `rand_distr`: the distributions are part of the scientific substrate
 //! this reproduction is asked to build, and the dependency budget stays
-//! minimal. Two standard-normal samplers live here:
-//!
-//! * the Box–Muller transform ([`standard_normal`],
-//!   [`standard_normal_pair`]) behind [`Normal`] — the process-variation
-//!   draws, whose seeded streams the golden figures pin;
-//! * the 256-layer [`Ziggurat`] (Marsaglia & Tsang 2000) behind the
-//!   s-LLGS thermal field, where three normals per lane per time step
-//!   are the whole cost of a Monte-Carlo write campaign: ≈98.5% of its
-//!   draws take one 64-bit word, two table reads, one multiply and one
-//!   compare, with no transcendental function.
+//! minimal. One standard-normal sampler lives here, the Box–Muller
+//! transform ([`standard_normal`], [`standard_normal_pair`]) behind
+//! [`Normal`] — the process-variation draws, whose seeded streams the
+//! golden figures pin. The s-LLGS thermal field does not draw normals:
+//! `mramsim-dynamics` reads moment-matched four-point increments off
+//! its replica streams' bits.
 
 use crate::{NumericsError, Result};
 use rand::Rng;
-use std::sync::OnceLock;
 
 /// A normal (Gaussian) distribution `N(mean, std_dev²)`.
 ///
@@ -92,147 +87,6 @@ pub fn standard_normal_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let r = (-2.0 * u1.ln()).sqrt();
     let (s, c) = (2.0 * core::f64::consts::PI * u2).sin_cos();
     (r * c, r * s)
-}
-
-/// Number of ziggurat layers.
-pub const ZIGGURAT_LAYERS: usize = 256;
-
-/// The ziggurat's base-strip edge `R` for 256 layers (Marsaglia &
-/// Tsang 2000): draws beyond `|z| > R` come from the exact tail.
-pub const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
-
-/// The common area `V` of every ziggurat layer (the base strip
-/// includes the tail beyond `R`).
-pub const ZIGGURAT_V: f64 = 0.004_928_673_233_99;
-
-/// The unnormalised standard-normal density `exp(−x²/2)`.
-#[inline]
-fn gauss(x: f64) -> f64 {
-    (-x * x / 2.0).exp()
-}
-
-/// A standard-normal sampler over the 256-layer ziggurat of Marsaglia
-/// & Tsang (2000), with `rand_distr`'s bit layout: the layer index is
-/// the low 8 bits of one `next_u64` and the signed abscissa fraction
-/// `u ∈ [−1, 1)` its top 52 bits.
-///
-/// A draw is split so lane-parallel callers can run the common case
-/// across many streams at once: [`Ziggurat::fast`] maps one 64-bit
-/// word to a candidate and says whether it was accepted (≈98.5% are);
-/// [`Ziggurat::slow`] finishes a rejected candidate — the wedge test or
-/// the exact tail, then fresh words until one is accepted — on the
-/// same generator. [`Ziggurat::sample`] is the two in sequence.
-///
-/// # Examples
-///
-/// ```
-/// use mramsim_numerics::dist::Ziggurat;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let zig = Ziggurat::get();
-/// let z = zig.sample(&mut rng);
-/// assert!(z.is_finite());
-/// ```
-#[derive(Debug)]
-pub struct Ziggurat {
-    /// Layer edges: `x[0] = V/f(R)` (the base strip's virtual width),
-    /// `x[1] = R`, decreasing to `x[256] = 0`.
-    x: [f64; ZIGGURAT_LAYERS + 1],
-    /// `f[i] = exp(−x[i]²/2)`.
-    f: [f64; ZIGGURAT_LAYERS + 1],
-}
-
-impl Ziggurat {
-    /// The process-wide tables, built on first use.
-    #[must_use]
-    pub fn get() -> &'static Self {
-        static TABLES: OnceLock<Ziggurat> = OnceLock::new();
-        TABLES.get_or_init(Self::build)
-    }
-
-    /// Builds the tables: every layer `i ≥ 1` has width `x[i]` and
-    /// height `f(x[i+1]) − f(x[i])`, so `x[i+1] = f⁻¹(V/x[i] + f(x[i]))`.
-    fn build() -> Self {
-        let mut x = [0.0; ZIGGURAT_LAYERS + 1];
-        x[0] = ZIGGURAT_V / gauss(ZIGGURAT_R);
-        x[1] = ZIGGURAT_R;
-        for i in 2..ZIGGURAT_LAYERS {
-            x[i] = (-2.0 * (ZIGGURAT_V / x[i - 1] + gauss(x[i - 1])).ln()).sqrt();
-        }
-        Self { x, f: x.map(gauss) }
-    }
-
-    /// One standard-normal variate.
-    #[inline]
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let bits = rng.next_u64();
-        match self.fast(bits) {
-            (z, true) => z,
-            _ => self.slow(bits, rng),
-        }
-    }
-
-    /// The fast path for one 64-bit word: the candidate `u·x[i]` and
-    /// whether it lies inside layer `i`'s rectangle, which makes it the
-    /// variate. Branch-free, so callers can run it across lanes.
-    #[inline(always)]
-    #[must_use]
-    pub fn fast(&self, bits: u64) -> (f64, bool) {
-        let (i, u) = layer_and_u(bits);
-        let z = u * self.x[i];
-        (z, z.abs() < self.x[i + 1])
-    }
-
-    /// Finishes a draw whose word `bits` [`Ziggurat::fast`] rejected,
-    /// drawing whatever else it needs from `rng`: the exact tail for the
-    /// base strip, otherwise the wedge test and, on rejection, fresh
-    /// words until one is accepted.
-    #[cold]
-    #[inline(never)]
-    pub fn slow<R: Rng + ?Sized>(&self, mut bits: u64, rng: &mut R) -> f64 {
-        loop {
-            let (i, u) = layer_and_u(bits);
-            if i == 0 {
-                return tail(u, rng);
-            }
-            let z = u * self.x[i];
-            if self.f[i + 1] + (self.f[i] - self.f[i + 1]) * rng.gen::<f64>() < gauss(z) {
-                return z;
-            }
-            bits = rng.next_u64();
-            if let (z, true) = self.fast(bits) {
-                return z;
-            }
-        }
-    }
-}
-
-/// One word's layer index (its low 8 bits) and `u ∈ [−1, 1)` (its top
-/// 52 bits as the mantissa of a float in `[2, 4)`, minus 3).
-#[inline(always)]
-fn layer_and_u(bits: u64) -> (usize, f64) {
-    let u = f64::from_bits((bits >> 12) | 0x4000_0000_0000_0000) - 3.0;
-    ((bits & 0xff) as usize, u)
-}
-
-/// Marsaglia's exact tail beyond `R`, on the side of `u`'s sign.
-fn tail<R: Rng + ?Sized>(u: f64, rng: &mut R) -> f64 {
-    let (mut x, mut y) = (1.0f64, 0.0f64);
-    while -2.0 * y < x * x {
-        x = open01(rng).ln() / ZIGGURAT_R;
-        y = open01(rng).ln();
-    }
-    if u < 0.0 {
-        x - ZIGGURAT_R
-    } else {
-        ZIGGURAT_R - x
-    }
-}
-
-/// Uniform in the open interval `(0, 1)` from the top 52 bits.
-fn open01<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    f64::from_bits((rng.next_u64() >> 12) | 0x3ff0_0000_0000_0000) - (1.0 - f64::EPSILON / 2.0)
 }
 
 /// The thermal-equilibrium initial-angle distribution of a macrospin in
@@ -401,46 +255,6 @@ mod tests {
             "E[θ²]Δ = {}",
             mean_sq * delta
         );
-    }
-
-    #[test]
-    fn ziggurat_layers_have_equal_area_and_decreasing_edges() {
-        // Every layer holds the same area V to 1e-9 — the base strip
-        // counted with its exact tail beyond R — and the edges strictly
-        // decrease from the base strip's virtual width through R to 0.
-        let Ziggurat { x, f } = Ziggurat::get();
-        let (r, v) = (ZIGGURAT_R, ZIGGURAT_V);
-        assert_eq!(x[1], r);
-        assert_eq!(x[ZIGGURAT_LAYERS], 0.0);
-        // The tail beyond R by composite Simpson over [R, R + 12] at
-        // h = 1e-3; past R + 12 the density is below e^-115 of f(R).
-        let n = 12_000;
-        let h = 12.0 / f64::from(n);
-        let weight = |k: u32| match k {
-            0 => 1.0,
-            k if k == n => 1.0,
-            k if k % 2 == 1 => 4.0,
-            _ => 2.0,
-        };
-        let tail = h / 3.0
-            * (0..=n)
-                .map(|k| weight(k) * gauss(r + h * f64::from(k)))
-                .sum::<f64>();
-        let base = r * f[1] + tail;
-        assert!(
-            (base / v - 1.0).abs() < 1e-9,
-            "base strip area {base} vs {v}"
-        );
-        for i in 1..ZIGGURAT_LAYERS {
-            let area = x[i] * (f[i + 1] - f[i]);
-            assert!(
-                (area / v - 1.0).abs() < 1e-9,
-                "layer {i}: area {area} vs {v}"
-            );
-        }
-        for i in 0..ZIGGURAT_LAYERS {
-            assert!(x[i] > x[i + 1], "edges not decreasing at layer {i}");
-        }
     }
 
     #[test]

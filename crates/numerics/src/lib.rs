@@ -10,9 +10,9 @@
 //!   calibration, and the least-squares curve fit by which the paper
 //!   extracts `Hk`, `Δ0`, §V-A),
 //! * [`stats`] — descriptive statistics for device populations,
-//! * [`dist`] — Normal sampling built on `rand` (process variation,
-//!   thermal switching stochasticity) and the ziggurat standard normal
-//!   behind the s-LLGS thermal field,
+//! * [`dist`] — Normal (Box–Muller) sampling built on `rand` for
+//!   process variation, and the thermal initial-angle distribution
+//!   that seeds the s-LLGS ensembles,
 //! * [`histogram`] — switching-field histograms,
 //! * [`pool`] — the work-stealing worker pool shared by the array
 //!   sweeps, the batched field maps, and the `mramsim-engine`

@@ -88,47 +88,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Kolmogorov–Smirnov: 2^17 ziggurat draws per random seed stay
-    /// below the 0.1% critical value 1.95/√n of their distance to Φ.
-    #[test]
-    fn ziggurat_draws_pass_kolmogorov_smirnov(seed in 0u64..u64::MAX) {
-        let zig = dist::Ziggurat::get();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let n = 1usize << 17;
-        let mut xs: Vec<f64> = (0..n).map(|_| zig.sample(&mut rng)).collect();
-        xs.sort_by(f64::total_cmp);
-        let d = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let cdf = special::normal_cdf(x);
-                (cdf - i as f64 / n as f64).max((i + 1) as f64 / n as f64 - cdf)
-            })
-            .fold(0.0, f64::max);
-        let critical = 1.95 / (n as f64).sqrt();
-        prop_assert!(d < critical, "D = {d} >= {critical} for seed {seed}");
-    }
-}
-
-/// Draws beyond `|z| > R` come only from the tail branch; over 2^20
-/// draws it fires at `2·(1 − Φ(R)) ≈ 2.58e-4` within 5 binomial σ.
-#[test]
-fn ziggurat_tail_fires_at_the_normal_tail_rate() {
-    let zig = dist::Ziggurat::get();
-    let mut rng = StdRng::seed_from_u64(1906);
-    let n = 1u32 << 20;
-    let beyond = (0..n)
-        .filter(|_| zig.sample(&mut rng).abs() > dist::ZIGGURAT_R)
-        .count();
-    let p = 2.0 * (1.0 - special::normal_cdf(dist::ZIGGURAT_R));
-    let expected = f64::from(n) * p;
-    let sigma = (expected * (1.0 - p)).sqrt();
-    assert!(
-        (beyond as f64 - expected).abs() < 5.0 * sigma,
-        "{beyond} tail draws, expected {expected:.1} ± {sigma:.1}"
-    );
-}
